@@ -2,7 +2,9 @@
 //! stack / heap / other. The stack share bounds what check elimination
 //! can remove (Table 1, unopt vs +elim).
 
-use redfat_emu::{Cpu, Emu, ErrorMode, HostRuntime, MemoryError, Runtime, SyscallOutcome};
+use redfat_emu::{
+    Cpu, Emu, ErrorMode, ExecBackend, HostRuntime, MemoryError, Runtime, SyscallOutcome,
+};
 use redfat_vm::{layout, Vm};
 use redfat_workloads::spec;
 
@@ -55,7 +57,7 @@ fn main() {
             other: 0,
         };
         let mut emu = Emu::load_image(&wl.image(), rt).expect("loads");
-        let _ = emu.run(u64::MAX);
+        let _ = emu.run_backend(ExecBackend::default(), u64::MAX);
         let r = &emu.runtime;
         let total = (r.stack + r.heap + r.other) as f64;
         println!(

@@ -3,14 +3,15 @@
 //! Measures, across the SPEC stand-in suite:
 //!
 //! * **Emulator throughput** -- retired instructions/sec of the step
-//!   interpreter vs the superblock backend vs the trace-linked backend
-//!   (chaining + indirect-branch inline caches + dead-flag elision) vs
-//!   the fast tier (host-pointer caching + batched counters + hook
-//!   elision) on the baseline image. All four backends must agree
-//!   exactly on the run result and every cost counter; a difference
-//!   aborts the run naming the first counter that diverged and both
-//!   values. The headline `fast_speedup` is step → fast; `emu_speedup`
-//!   (step → trace) and `superblock_speedup` record the mid tiers.
+//!   interpreter vs the trace-linked backend (chaining +
+//!   indirect-branch inline caches + dead-flag elision) vs the fast
+//!   tier (host-pointer caching + batched counters + hook elision; the
+//!   default backend) on the baseline image. All three backends must
+//!   agree exactly on the run result and every cost counter; a
+//!   difference aborts the run naming the first counter that diverged
+//!   and both values. The headline `fast_speedup` is step → fast;
+//!   `emu_speedup` (step → trace) records the tier the fast tier runs
+//!   under an observing runtime.
 //!   Trace-cache behavior (hits, misses, chain follows, inline-cache
 //!   hits/misses) is recorded per workload.
 //! * **Harden wall-clock** -- end-to-end `harden()` time serial
@@ -31,13 +32,13 @@
 //!   are stored alongside the full ones so CI can compare like for like.
 //! * `--quick`: measure only the quick subset (train inputs, reduced
 //!   step budget), validate the committed baseline's schema, fail if
-//!   the measured geomean emulator speedup regressed more than 10%
-//!   against the baseline's recorded quick geomean, and assert the
+//!   the measured geomean trace or fast speedup regressed more than
+//!   10% against the baseline's recorded quick geomeans, and assert the
 //!   tier ordering holds: fast at least as fast as trace-linked, which
-//!   is at least as fast as superblock.
+//!   is at least as fast as step.
 //! * `--micro`: run only the microbenchmark suite (reg-ALU, branch,
 //!   mem-load, mem-store and mixed loops; `micro_suite`), printing
-//!   per-category M instr/s for all four backends. The full sweep
+//!   per-category M instr/s for all three backends. The full sweep
 //!   always records the same suite in the `"micro"` JSON section, so
 //!   the per-category numbers are versioned with `BENCH_perf.json`.
 //! * `--check <file>`: validate the schema of an existing JSON file and
@@ -59,12 +60,12 @@ use redfat_x86::{AluOp, Asm, Cond, Mem, Reg, Width};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const SCHEMA: &str = "redfat-bench-perf/v4";
+const SCHEMA: &str = "redfat-bench-perf/v5";
 /// Step cap for the full sweep (ref inputs all exit well below this).
 const FULL_BUDGET: u64 = 4_000_000_000;
 /// Step cap for the quick subset (train inputs).
 const QUICK_BUDGET: u64 = 100_000_000;
-/// Quick mode fails if the emulator speedup geomean drops below
+/// Quick mode fails if the trace or fast speedup geomean drops below
 /// `baseline * (1 - REGRESSION_TOLERANCE)`.
 const REGRESSION_TOLERANCE: f64 = 0.10;
 /// Per-workload floor on serial/parallel harden ratio: the parallel
@@ -79,13 +80,10 @@ struct Row {
     name: &'static str,
     instructions: u64,
     step_mips: f64,
-    superblock_mips: f64,
     trace_mips: f64,
     fast_mips: f64,
     /// step → trace throughput ratio (the v3 headline).
     emu_speedup: f64,
-    /// Mid tier: step → superblock throughput ratio.
-    superblock_speedup: f64,
     /// Headline: step → fast throughput ratio.
     fast_speedup: f64,
     stats: TraceStats,
@@ -157,11 +155,9 @@ fn measure(wl: &Workload, input: &[i64], budget: u64, threads: usize) -> Row {
     let image = wl.image();
 
     let (r_step, c_step, _, t_step) = time_backend(&image, input, ExecBackend::Step, budget);
-    let (r_sup, c_sup, _, t_sup) = time_backend(&image, input, ExecBackend::Superblock, budget);
     let (r_tr, c_tr, stats, t_tr) = time_backend(&image, input, ExecBackend::Trace, budget);
     let (r_fast, c_fast, _, t_fast) = time_backend(&image, input, ExecBackend::Fast, budget);
     for (backend, r, c) in [
-        (ExecBackend::Superblock, r_sup, &c_sup),
         (ExecBackend::Trace, r_tr, &c_tr),
         (ExecBackend::Fast, r_fast, &c_fast),
     ] {
@@ -211,11 +207,9 @@ fn measure(wl: &Workload, input: &[i64], budget: u64, threads: usize) -> Row {
         name: wl.name,
         instructions: c_step.instructions,
         step_mips: c_step.instructions as f64 / t_step / 1e6,
-        superblock_mips: c_step.instructions as f64 / t_sup / 1e6,
         trace_mips: c_step.instructions as f64 / t_tr / 1e6,
         fast_mips: c_step.instructions as f64 / t_fast / 1e6,
         emu_speedup: t_step / t_tr,
-        superblock_speedup: t_step / t_sup,
         fast_speedup: t_step / t_fast,
         stats,
         harden_serial_ms: serial_best * 1e3,
@@ -236,12 +230,11 @@ fn sweep(suite: &[Workload], quick: bool, threads: usize) -> Vec<Row> {
             let budget = if quick { QUICK_BUDGET } else { FULL_BUDGET };
             let row = measure(wl, input, budget, threads);
             eprintln!(
-                "perf: {:<14} {:>11} insts  step {:>6.1} M/s  superblock {:>7.1} M/s  \
-                 trace {:>7.1} M/s  fast {:>7.1} M/s  emu {:.2}x  fast {:.2}x  harden {:.2}x",
+                "perf: {:<14} {:>11} insts  step {:>6.1} M/s  trace {:>7.1} M/s  \
+                 fast {:>7.1} M/s  emu {:.2}x  fast {:.2}x  harden {:.2}x",
                 row.name,
                 row.instructions,
                 row.step_mips,
-                row.superblock_mips,
                 row.trace_mips,
                 row.fast_mips,
                 row.emu_speedup,
@@ -262,19 +255,17 @@ fn rows_json(rows: &[Row]) -> String {
         let _ = write!(
             s,
             "\n    {{\"name\":\"{}\",\"instructions\":{},\"step_mips\":{:.3},\
-             \"superblock_mips\":{:.3},\"trace_mips\":{:.3},\"fast_mips\":{:.3},\
-             \"emu_speedup\":{:.4},\"superblock_speedup\":{:.4},\"fast_speedup\":{:.4},\
+             \"trace_mips\":{:.3},\"fast_mips\":{:.3},\
+             \"emu_speedup\":{:.4},\"fast_speedup\":{:.4},\
              \"trace_hits\":{},\"trace_misses\":{},\"trace_chain_follows\":{},\
              \"trace_ic_hits\":{},\"trace_ic_misses\":{},\
              \"harden_serial_ms\":{:.3},\"harden_parallel_ms\":{:.3},\"harden_speedup\":{:.4}}}",
             r.name,
             r.instructions,
             r.step_mips,
-            r.superblock_mips,
             r.trace_mips,
             r.fast_mips,
             r.emu_speedup,
-            r.superblock_speedup,
             r.fast_speedup,
             r.stats.hits,
             r.stats.misses,
@@ -348,10 +339,6 @@ fn emu_geomean(rows: &[Row]) -> f64 {
     geomean(rows.iter().map(|r| r.emu_speedup))
 }
 
-fn superblock_geomean(rows: &[Row]) -> f64 {
-    geomean(rows.iter().map(|r| r.superblock_speedup))
-}
-
 fn fast_geomean(rows: &[Row]) -> f64 {
     geomean(rows.iter().map(|r| r.fast_speedup))
 }
@@ -366,7 +353,6 @@ struct MicroRow {
     name: &'static str,
     instructions: u64,
     step_mips: f64,
-    superblock_mips: f64,
     trace_mips: f64,
     fast_mips: f64,
 }
@@ -475,7 +461,7 @@ fn micro_suite() -> Vec<(&'static str, Image)> {
     ]
 }
 
-/// Times every category on all four backends, under the same
+/// Times every category on all three backends, under the same
 /// run-result and counter-equality preconditions as the main sweep.
 fn sweep_micro() -> Vec<MicroRow> {
     micro_suite()
@@ -483,8 +469,6 @@ fn sweep_micro() -> Vec<MicroRow> {
         .map(|(name, image)| {
             let (r_step, c_step, _, t_step) =
                 time_backend(&image, &[], ExecBackend::Step, FULL_BUDGET);
-            let (r_sup, c_sup, _, t_sup) =
-                time_backend(&image, &[], ExecBackend::Superblock, FULL_BUDGET);
             let (r_tr, c_tr, _, t_tr) = time_backend(&image, &[], ExecBackend::Trace, FULL_BUDGET);
             let (r_fast, c_fast, _, t_fast) =
                 time_backend(&image, &[], ExecBackend::Fast, FULL_BUDGET);
@@ -493,7 +477,6 @@ fn sweep_micro() -> Vec<MicroRow> {
                 "micro {name}: unexpected run result {r_step:?}"
             );
             for (backend, r, c) in [
-                (ExecBackend::Superblock, r_sup, &c_sup),
                 (ExecBackend::Trace, r_tr, &c_tr),
                 (ExecBackend::Fast, r_fast, &c_fast),
             ] {
@@ -508,19 +491,13 @@ fn sweep_micro() -> Vec<MicroRow> {
                 name,
                 instructions: c_step.instructions,
                 step_mips: insts / t_step / 1e6,
-                superblock_mips: insts / t_sup / 1e6,
                 trace_mips: insts / t_tr / 1e6,
                 fast_mips: insts / t_fast / 1e6,
             };
             eprintln!(
-                "perf micro: {:<10} {:>9} insts  step {:>6.1} M/s  superblock {:>7.1} M/s  \
-                 trace {:>7.1} M/s  fast {:>7.1} M/s",
-                row.name,
-                row.instructions,
-                row.step_mips,
-                row.superblock_mips,
-                row.trace_mips,
-                row.fast_mips
+                "perf micro: {:<10} {:>9} insts  step {:>6.1} M/s  trace {:>7.1} M/s  \
+                 fast {:>7.1} M/s",
+                row.name, row.instructions, row.step_mips, row.trace_mips, row.fast_mips
             );
             row
         })
@@ -536,8 +513,8 @@ fn micro_rows_json(rows: &[MicroRow]) -> String {
         let _ = write!(
             s,
             "\n    {{\"name\":\"{}\",\"instructions\":{},\"step_mips\":{:.3},\
-             \"superblock_mips\":{:.3},\"trace_mips\":{:.3},\"fast_mips\":{:.3}}}",
-            r.name, r.instructions, r.step_mips, r.superblock_mips, r.trace_mips, r.fast_mips
+             \"trace_mips\":{:.3},\"fast_mips\":{:.3}}}",
+            r.name, r.instructions, r.step_mips, r.trace_mips, r.fast_mips
         );
     }
     s.push_str("\n  ]");
@@ -555,20 +532,16 @@ fn render_json(
     format!(
         "{{\n  \"schema\": \"{SCHEMA}\",\n  \"threads\": {threads},\n  \"cores\": {cores},\n  \
          \"full_budget\": {FULL_BUDGET},\n  \"quick_budget\": {QUICK_BUDGET},\n  \
-         \"geomean_emu_speedup\": {:.4},\n  \"geomean_superblock_speedup\": {:.4},\n  \
-         \"geomean_fast_speedup\": {:.4},\n  \
+         \"geomean_emu_speedup\": {:.4},\n  \"geomean_fast_speedup\": {:.4},\n  \
          \"geomean_harden_speedup\": {:.4},\n  \
-         \"quick_geomean_emu_speedup\": {:.4},\n  \"quick_geomean_superblock_speedup\": {:.4},\n  \
-         \"quick_geomean_fast_speedup\": {:.4},\n  \
+         \"quick_geomean_emu_speedup\": {:.4},\n  \"quick_geomean_fast_speedup\": {:.4},\n  \
          \"quick_geomean_harden_speedup\": {:.4},\n  \
          \"geomean_warm_cache_speedup\": {:.4},\n  \
          \"workloads\": {},\n  \"quick_workloads\": {},\n  \"micro\": {},\n  \"service\": {}\n}}\n",
         emu_geomean(full),
-        superblock_geomean(full),
         fast_geomean(full),
         harden_geomean(full),
         emu_geomean(quick),
-        superblock_geomean(quick),
         fast_geomean(quick),
         harden_geomean(quick),
         warm_cache_geomean(service),
@@ -597,19 +570,15 @@ fn validate_schema(text: &str) -> Result<(), String> {
         return Err(format!("missing or unexpected schema id (want {SCHEMA})"));
     }
     for key in [
-        // v3 keys, all preserved in v4.
         "geomean_emu_speedup",
-        "geomean_superblock_speedup",
+        "geomean_fast_speedup",
         "geomean_harden_speedup",
         "quick_geomean_emu_speedup",
-        "quick_geomean_superblock_speedup",
+        "quick_geomean_fast_speedup",
         "quick_geomean_harden_speedup",
         "geomean_warm_cache_speedup",
         "threads",
         "cores",
-        // v4: the fast tier.
-        "geomean_fast_speedup",
-        "quick_geomean_fast_speedup",
     ] {
         if json_number(text, key).is_none() {
             return Err(format!("missing numeric key {key:?}"));
@@ -626,6 +595,9 @@ fn validate_schema(text: &str) -> Result<(), String> {
     }
     if !text.contains("\"fast_mips\":") || !text.contains("\"fast_speedup\":") {
         return Err("missing per-workload fast backend columns".into());
+    }
+    if text.contains("superblock") {
+        return Err("superblock columns were removed in v5".into());
     }
     if !text.contains("\"micro\":") {
         return Err("missing microbenchmark section".into());
@@ -688,17 +660,16 @@ fn main() {
         eprintln!("perf: quick subset on {threads} threads ({cores} cores)...",);
         let rows = sweep(&quick_subset(suite), true, threads);
         let measured = emu_geomean(&rows);
-        let sup = superblock_geomean(&rows);
         let fast = fast_geomean(&rows);
         println!(
-            "perf quick: geomean emu speedup {measured:.3}x (superblock {sup:.3}x, \
-             fast {fast:.3}x), harden speedup {:.3}x",
+            "perf quick: geomean emu speedup {measured:.3}x (fast {fast:.3}x), \
+             harden speedup {:.3}x",
             harden_geomean(&rows)
         );
-        if measured < sup {
+        if measured < 1.0 {
             eprintln!(
                 "perf: REGRESSION: trace-linked tier ({measured:.3}x) is slower than the \
-                 superblock tier ({sup:.3}x) it builds on"
+                 step interpreter"
             );
             std::process::exit(1);
         }
@@ -729,16 +700,24 @@ fn main() {
             eprintln!("perf: baseline {baseline_path} schema invalid: {e}");
             std::process::exit(1);
         }
-        let recorded = json_number(&text, "quick_geomean_emu_speedup").expect("validated");
-        let floor = recorded * (1.0 - REGRESSION_TOLERANCE);
-        println!("perf quick: baseline quick geomean {recorded:.3}x, regression floor {floor:.3}x");
-        if measured < floor {
-            eprintln!(
-                "perf: REGRESSION: emulator speedup geomean {measured:.3}x fell below \
-                 {floor:.3}x (baseline {recorded:.3}x - {:.0}%)",
-                REGRESSION_TOLERANCE * 100.0
+        for (tier, key, measured) in [
+            ("trace", "quick_geomean_emu_speedup", measured),
+            ("fast", "quick_geomean_fast_speedup", fast),
+        ] {
+            let recorded = json_number(&text, key).expect("validated");
+            let floor = recorded * (1.0 - REGRESSION_TOLERANCE);
+            println!(
+                "perf quick: {tier} baseline quick geomean {recorded:.3}x, \
+                 regression floor {floor:.3}x"
             );
-            std::process::exit(1);
+            if measured < floor {
+                eprintln!(
+                    "perf: REGRESSION: {tier} speedup geomean {measured:.3}x fell below \
+                     {floor:.3}x (baseline {recorded:.3}x - {:.0}%)",
+                    REGRESSION_TOLERANCE * 100.0
+                );
+                std::process::exit(1);
+            }
         }
         println!("perf quick: ok");
         return;
@@ -759,10 +738,9 @@ fn main() {
     validate_schema(&json).expect("self-produced JSON validates");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
     println!(
-        "perf: geomean emu speedup {:.3}x (superblock {:.3}x, fast {:.3}x), \
+        "perf: geomean emu speedup {:.3}x (fast {:.3}x), \
          harden speedup {:.3}x, warm cache {:.3}x ({} workloads) -> {out_path}",
         emu_geomean(&full),
-        superblock_geomean(&full),
         fast_geomean(&full),
         harden_geomean(&full),
         warm_cache_geomean(&service),

@@ -150,7 +150,7 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
             let rt = MemcheckRuntime::new(ErrorMode::Log).with_input(wl.ref_input.clone());
             let mut emu = Emu::load_image(&image, rt).expect("loads");
             emu.cost = MemcheckRuntime::cost_model();
-            let r = emu.run(MAX_STEPS);
+            let r = emu.run_backend(ExecBackend::default(), MAX_STEPS);
             assert!(
                 matches!(r, RunResult::Exited(_)),
                 "{}: memcheck run must exit ({r:?})",
@@ -196,7 +196,7 @@ pub fn false_positive_sites_policy(wl: &Workload, policy: AllocPolicyKind) -> us
         &hardened.image,
         wl.ref_input.clone(),
         ErrorMode::Log,
-        ExecBackend::Step,
+        ExecBackend::default(),
         MAX_STEPS,
         policy,
     )
@@ -219,7 +219,7 @@ pub fn redfat_detects_policy(image: &Image, attack_input: &[i64], policy: AllocP
         &hardened.image,
         attack_input.to_vec(),
         ErrorMode::Abort,
-        ExecBackend::Step,
+        ExecBackend::default(),
         MAX_STEPS,
         policy,
     )
@@ -255,7 +255,7 @@ pub fn memcheck_detects(image: &Image, attack_input: &[i64]) -> bool {
     let rt = MemcheckRuntime::new(ErrorMode::Abort).with_input(attack_input.to_vec());
     let mut emu = Emu::load_image(image, rt).expect("loads");
     emu.cost = MemcheckRuntime::cost_model();
-    let r = emu.run(MAX_STEPS);
+    let r = emu.run_backend(ExecBackend::default(), MAX_STEPS);
     matches!(r, RunResult::MemoryError(_)) || !emu.runtime.errors.is_empty()
 }
 

@@ -62,10 +62,11 @@ commands:
   fuzzlist <in.elf> -o <allow.lst> [--input seed,..] [--iters N]
                                        coverage-guided profiling (E9AFL-style)
   run     <in.elf> [--input v,v,..] [--log] [--memcheck] [--max-steps N]
-          [--backend step|superblock|trace|fast] [--stats]
+          [--backend step|fast] [--stats]
           [--alloc-policy lowfat|rand-lowfat]
                                        --backend selects the execution tier
-                                       (default step); --stats prints the
+                                       (default fast; step is the reference
+                                       interpreter); --stats prints the
                                        translation-cache counters afterwards;
                                        --alloc-policy selects the heap backend
                                        (default lowfat)
@@ -74,18 +75,17 @@ commands:
   analyze <in.elf> --callgraph         call graph + function summaries
                                        (text report followed by Graphviz DOT)
   stats   <in.elf>                     image and instrumentation-plan statistics
-  selftest [--quick] [--superblock] [--fast] [--alloc-policy lowfat|rand-lowfat]
+  selftest [--quick] [--fast] [--alloc-policy lowfat|rand-lowfat]
                                        differential self-test: lockstep oracle,
                                        round-trip fuzzer, allocator invariants
                                        (the invariant campaign always covers
                                        every allocator policy; --alloc-policy
                                        picks the heap backend for the lockstep
                                        runs);
-                                       --superblock also runs the superblock
-                                       and trace-linked execution backends
-                                       against the step interpreter on every
-                                       workload; --fast adds the fast tier's
-                                       boundary-audit oracle
+                                       --fast also audits the trace-linked and
+                                       fast execution tiers against the step
+                                       interpreter on the baseline, hardened
+                                       and profiling image of every workload
   selftest --faults [--quick]          fault-injection sweep: seeded mutants of
                                        every stand-in driven through the full
                                        pipeline; any panic fails the sweep
@@ -194,12 +194,14 @@ impl Args {
         }
     }
 
-    /// Execution backend for `run`: `--backend step|superblock|trace|fast`.
+    /// Execution backend for `run`: `--backend step|fast`, default
+    /// [`ExecBackend::default`].
     fn backend(&self) -> Result<ExecBackend, CliError> {
         match self.flags.get("--backend").and_then(|v| v.as_deref()) {
-            None => Ok(ExecBackend::Step),
-            Some(s) => ExecBackend::parse(s)
-                .ok_or_else(|| err(format!("bad --backend {s:?} (step|superblock|trace|fast)"))),
+            None => Ok(ExecBackend::default()),
+            Some(s) => {
+                ExecBackend::parse(s).ok_or_else(|| err(format!("bad --backend {s:?} (step|fast)")))
+            }
         }
     }
 
@@ -549,19 +551,11 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
         }
         "selftest" => {
             let quick = args.has("--quick");
-            let superblock = args.has("--superblock");
             let fast = args.has("--fast");
             if args.has("--faults") {
                 run_faults(quick, args.threads()?, &mut out)?;
             } else {
-                run_selftest(
-                    quick,
-                    superblock,
-                    fast,
-                    args.alloc_policy()?,
-                    args.threads()?,
-                    &mut out,
-                )?;
+                run_selftest(quick, fast, args.alloc_policy()?, args.threads()?, &mut out)?;
             }
         }
         "serve" => {
@@ -706,17 +700,16 @@ fn run_faults(quick: bool, threads: usize, out: &mut String) -> Result<(), CliEr
 ///
 /// Runs the deterministic encoder/decoder round-trip fuzzer, the
 /// allocator invariant checker, and the lockstep divergence oracle over
-/// every SPEC stand-in plus a Juliet sample. With `superblock`, every
-/// stand-in additionally runs the superblock and trace-linked execution
-/// backends against the single-step reference interpreter on both the
-/// baseline and the hardened image; `fast` adds the fast tier's
-/// boundary-audit oracle ([`redfat_core::selftest::backend_lockstep`]
-/// with [`ExecBackend::Fast`]) to that sweep. Any failure shrinks to a
-/// minimal repro and fails the invocation with a nonzero exit code, so
-/// CI can gate on `redfat selftest --quick`.
+/// every SPEC stand-in plus a Juliet sample. With `fast`, every
+/// stand-in additionally runs the trace-linked tier and the fast tier
+/// (the default backend, under its boundary-audit oracle) against the
+/// single-step reference interpreter
+/// ([`redfat_core::selftest::backend_lockstep`]) on the baseline, the
+/// hardened and the profiling image. Any failure shrinks to a minimal
+/// repro and fails the invocation with a nonzero exit code, so CI can
+/// gate on `redfat selftest --quick --fast`.
 fn run_selftest(
     quick: bool,
-    superblock: bool,
     fast: bool,
     policy: AllocPolicyKind,
     threads: usize,
@@ -771,21 +764,22 @@ fn run_selftest(
         };
         let hardened = harden_threaded(&image, &config, threads)
             .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))?;
-        if superblock || fast {
-            // Audit the translated backends: the superblock tier and
-            // the trace-linked tier (chaining + inline caches + dead-
-            // flag elision fully enabled) under `--superblock`, plus
-            // the fast tier's boundary-audit oracle under `--fast`.
-            let mut backends = Vec::new();
-            if superblock {
-                backends.extend([ExecBackend::Superblock, ExecBackend::Trace]);
-            }
-            if fast {
-                backends.push(ExecBackend::Fast);
-            }
-            for backend in backends {
-                for (kind, img) in [("baseline", &image), ("hardened", &hardened.image)] {
-                    let rep = backend_lockstep_policy(img, &input, backend, max_steps, policy);
+        if fast {
+            // Audit the translated backends: the trace-linked tier
+            // (chaining + inline caches + dead-flag elision; what the
+            // fast tier runs under an observing runtime) and the fast
+            // tier. The profiling image runs on the train input, as
+            // `genlist` runs it, so the allow-list's per-site counts
+            // are audited too.
+            let prof = instrument_profile(&image)
+                .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
+            for backend in [ExecBackend::Trace, ExecBackend::Fast] {
+                for (kind, img, input) in [
+                    ("baseline", &image, &input),
+                    ("hardened", &hardened.image, &input),
+                    ("profile", &prof.image, &w.train_input),
+                ] {
+                    let rep = backend_lockstep_policy(img, input, backend, max_steps, policy);
                     writeln!(
                         out,
                         "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",

@@ -267,3 +267,69 @@ fn error_symbolization_names_the_function() {
     .unwrap();
     assert!(out.contains("in vulnerable+"), "{out}");
 }
+
+/// The `trace-cache:` counters of `redfat run --stats` output, as
+/// (name, value) pairs.
+fn trace_cache_stats(out: &str) -> Vec<(String, u64)> {
+    let line = out
+        .lines()
+        .find_map(|l| l.strip_prefix("trace-cache: "))
+        .expect("--stats prints the trace-cache line");
+    let words: Vec<&str> = line.split_whitespace().collect();
+    words
+        .chunks(2)
+        .map(|kv| (kv[0].to_string(), kv[1].parse().expect("numeric counter")))
+        .collect()
+}
+
+#[test]
+fn run_defaults_to_the_fast_tier() {
+    let dir = tmpdir("backend");
+    let src = dir.join("prog.mc");
+    let elf = dir.join("prog.elf");
+    std::fs::write(
+        &src,
+        "fn sq(x) { return x * x; }
+         fn main() { var s = 0; for (var i = 0; i < 200; i = i + 1) { s = s + sq(i); } print(s); return 0; }",
+    )
+    .unwrap();
+    run_cli(&args(&[
+        "compile",
+        src.to_str().unwrap(),
+        "-o",
+        elf.to_str().unwrap(),
+    ]))
+    .expect("compile");
+    let run = |extra: &[&str]| {
+        let mut argv = vec!["run", elf.to_str().unwrap(), "--stats"];
+        argv.extend_from_slice(extra);
+        run_cli(&args(&argv))
+    };
+
+    // No --backend: the translated tier runs, and its cache is used.
+    let default = run(&[]).expect("run");
+    let hits = trace_cache_stats(&default)
+        .into_iter()
+        .find_map(|(k, v)| (k == "hits").then_some(v));
+    assert!(hits > Some(0), "{default}");
+
+    // --backend step: the reference interpreter touches no trace cache,
+    // and everything the guest observes is identical.
+    let step = run(&["--backend", "step"]).expect("run --backend step");
+    assert!(
+        trace_cache_stats(&step).iter().all(|(_, v)| *v == 0),
+        "{step}"
+    );
+    let strip = |s: &str| -> String {
+        s.lines()
+            .filter(|l| !l.starts_with("trace-cache: "))
+            .collect::<Vec<_>>()
+            .join("\n")
+    };
+    assert_eq!(strip(&default), strip(&step));
+
+    // The deleted tier is rejected, naming the accepted ones.
+    let e = run(&["--backend", "superblock"]).expect_err("superblock is gone");
+    assert!(e.message.contains("step|fast"), "{}", e.message);
+    assert_eq!(e.code, 1);
+}

@@ -27,7 +27,7 @@ use crate::pipeline::harden;
 use crate::selftest::SplitMix64;
 use crate::HardenConfig;
 use redfat_elf::Image;
-use redfat_emu::{Emu, ErrorMode, HostRuntime, RunResult, TRAP_TABLE_MAGIC};
+use redfat_emu::{Emu, ErrorMode, ExecBackend, HostRuntime, RunResult, TRAP_TABLE_MAGIC};
 use redfat_parallel::parallel_map;
 use redfat_workloads::spec;
 use std::collections::BTreeMap;
@@ -156,7 +156,7 @@ fn drive_load_run(image: &Image, input: &[i64], max_steps: u64) -> FaultOutcome 
         Ok(emu) => emu,
         Err(e) => return FaultOutcome::Error(RedfatError::from(e)),
     };
-    match emu.run(max_steps) {
+    match emu.run_backend(ExecBackend::default(), max_steps) {
         // Guest-level endings are graceful by construction.
         RunResult::Exited(_) | RunResult::StepLimit | RunResult::MemoryError(_) => FaultOutcome::Ok,
         RunResult::Error(e) => FaultOutcome::Error(RedfatError::from(e)),

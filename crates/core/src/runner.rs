@@ -33,7 +33,8 @@ impl RunOutcome {
 }
 
 /// Loads `image`, runs it with the given input under the standard
-/// RedFat runtime, and collects the outcome.
+/// RedFat runtime on the default execution backend
+/// ([`ExecBackend::default`], the fast tier), and collects the outcome.
 ///
 /// `mode` selects abort-on-error (hardening) or log-and-continue
 /// (bug finding / profiling).
@@ -53,14 +54,14 @@ pub fn try_run_once(
     mode: ErrorMode,
     max_steps: u64,
 ) -> Result<RunOutcome, LoadError> {
-    try_run_backend(image, input, mode, ExecBackend::Step, max_steps)
+    try_run_backend(image, input, mode, ExecBackend::default(), max_steps)
 }
 
 /// [`try_run_once`] on an explicit execution backend: `step` (the
-/// reference interpreter), `superblock`, or the trace-linked tier.
-/// Counters, I/O, and reported errors are backend-independent (the
+/// reference interpreter) or a translated tier. Counters, I/O,
+/// reported errors and profiles are backend-independent (the
 /// translated tiers are audited against `step` by the selftest
-/// lockstep oracle); only wall-clock time and [`RunOutcome::trace_stats`]
+/// backend oracle); only wall-clock time and [`RunOutcome::trace_stats`]
 /// differ.
 pub fn try_run_backend(
     image: &Image,

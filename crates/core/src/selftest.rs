@@ -23,13 +23,14 @@
 //!    Figure 3 object layout (`base(p) <= p`, `p == base + 16`,
 //!    size-class consistency, metadata/canary round-trip, shadow-state
 //!    classification, double-free detection).
-//! 4. **Backend lockstep oracle** ([`backend_lockstep`]): runs the
-//!    superblock-translated execution backend against the single-step
-//!    reference interpreter on the *same* image and compares the full
-//!    architectural state (every register, flags, `rip`, all cost
-//!    counters, runtime error count) at every superblock boundary. The
-//!    translation cache is a pure performance optimization, so any
-//!    difference at all is a bug.
+//! 4. **Backend lockstep oracle** ([`backend_lockstep`]): runs a
+//!    translated execution tier (trace-linked or fast) against the
+//!    single-step reference interpreter on the *same* image and
+//!    compares the full architectural state (every register, flags,
+//!    `rip`, all cost counters, runtime error reports) at every return
+//!    boundary of the tier, plus the run result, guest IO and per-site
+//!    profile at the end. The translation cache is a pure performance
+//!    optimization, so any difference at all is a bug.
 //!
 //! When the lockstep oracle diverges, [`shrink_input`] applies ddmin-style
 //! [`minimize`]-ation to the program input so the repro is as small as the
@@ -957,20 +958,20 @@ pub fn minimize<T: Clone>(items: &[T], mut still_fails: impl FnMut(&[T]) -> bool
 }
 
 // ---------------------------------------------------------------------------
-// Superblock backend lockstep oracle
+// Backend lockstep oracle
 // ---------------------------------------------------------------------------
 
 /// Result of a [`backend_lockstep`] run.
 #[derive(Debug, Default)]
 pub struct BackendReport {
-    /// Superblock boundaries at which full state was compared.
+    /// Backend return boundaries at which full state was compared.
     pub blocks: u64,
     /// Instructions executed (identical for both backends by design).
     pub instructions: u64,
     /// Unexplained differences between the backends (capped).
     pub divergences: Vec<Divergence>,
     /// How the translated-backend run ended (`None` only on a stall).
-    pub superblock_exit: Option<RunResult>,
+    pub backend_exit: Option<RunResult>,
     /// How the reference single-step run ended.
     pub step_exit: Option<RunResult>,
     /// `true` if both backends terminated within the step budget.
@@ -990,8 +991,9 @@ fn push_divergence(divs: &mut Vec<Divergence>, rip: u64, detail: String) {
     }
 }
 
-/// Maps a `step`/`step_block` outcome to the run result `run_superblock`
-/// and `run` would report, so the two backends compare apples to apples.
+/// Maps a `step`/`step_trace`/`step_fast` outcome to the run result
+/// `run_backend` would report, so the two backends compare apples to
+/// apples.
 fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
     match outcome {
         Ok(r) => r,
@@ -1000,19 +1002,22 @@ fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
     }
 }
 
-/// Runs a translated backend (superblock or trace-linked) and the
-/// single-step reference interpreter in lockstep on `image` and compares
-/// the complete architectural state at every block boundary.
+/// Runs a translated backend (trace-linked or fast) and the single-step
+/// reference interpreter in lockstep on `image` and compares the
+/// complete architectural state at every return boundary.
 ///
 /// Unlike [`lockstep_images`], both emulators execute the *same* image,
 /// so the comparison is exact: every register (no dead-clobber
 /// exemptions), the flags, `rip`, the full cost-counter set, and the
 /// memory-error reports must agree element-for-element at every
-/// boundary, and the final run results and guest IO digests must be
-/// equal. For the trace-linked backend a "boundary" is wherever
-/// `step_trace` returns (budget exhaustion or an unlinkable successor),
-/// so chained execution is still audited against the reference run
-/// whenever it surfaces.
+/// boundary, and the final run results, guest IO digests and per-site
+/// profiles (`runtime.profile`, which `genlist` turns into the
+/// allow-list) must be equal. For the trace-linked backend a "boundary"
+/// is wherever `step_trace` returns (budget exhaustion or an unlinkable
+/// successor), so chained execution is still audited against the
+/// reference run whenever it surfaces. [`ExecBackend::Step`] audits the
+/// interpreter against itself one instruction at a time (a harness
+/// sanity check).
 ///
 /// For [`ExecBackend::Fast`] this is the **boundary-audit oracle**: the
 /// fast tier batches counter updates and skips hook dispatch *within* a
@@ -1047,7 +1052,7 @@ pub fn backend_lockstep_policy(
     max_steps: u64,
     policy: AllocPolicyKind,
 ) -> BackendReport {
-    let mut sup = Emu::load_image(
+    let mut tier = Emu::load_image(
         image,
         HostRuntime::with_policy(ErrorMode::Log, policy).with_input(input.to_vec()),
     )
@@ -1060,7 +1065,7 @@ pub fn backend_lockstep_policy(
     let mut report = BackendReport::default();
     let mut remaining = max_steps;
 
-    let (sup_end, ref_end) = loop {
+    let (tier_end, ref_end) = loop {
         if remaining == 0 {
             break (Some(RunResult::StepLimit), Some(RunResult::StepLimit));
         }
@@ -1069,15 +1074,15 @@ pub fn backend_lockstep_policy(
             // one call; bound each slice so full state is compared at
             // thousands of boundaries and mid-block budget expiry (the
             // exact-prefix path) is exercised continuously.
-            ExecBackend::Trace => sup.step_trace(remaining.min(4096)),
-            ExecBackend::Fast => sup.step_fast(remaining.min(4096)),
-            ExecBackend::Step | ExecBackend::Superblock => sup.step_block(remaining),
+            ExecBackend::Trace => tier.step_trace(remaining.min(4096)),
+            ExecBackend::Fast => tier.step_fast(remaining.min(4096)),
+            ExecBackend::Step => (1, tier.step()),
         };
         remaining -= executed.min(remaining);
         report.instructions += executed;
-        let sup_end = settle(outcome);
+        let tier_end = settle(outcome);
         // The reference interpreter retires exactly as many instructions
-        // as the superblock executed; if it terminates first, the state
+        // as the backend executed; if it terminates first, the state
         // comparison below reports where the two runs parted ways.
         let mut ref_end = None;
         for _ in 0..executed {
@@ -1093,19 +1098,19 @@ pub fn backend_lockstep_policy(
         report.blocks += 1;
         let rip = refr.cpu.rip;
         let divs = &mut report.divergences;
-        if sup.cpu.rip != refr.cpu.rip {
+        if tier.cpu.rip != refr.cpu.rip {
             push_divergence(
                 divs,
                 rip,
                 format!(
                     "rip differs after block {}: {backend} {:#x}, step {:#x}",
-                    report.blocks, sup.cpu.rip, refr.cpu.rip
+                    report.blocks, tier.cpu.rip, refr.cpu.rip
                 ),
             );
         }
         for c in 0..16u8 {
             let r = Reg::from_code(c);
-            let (sv, rv) = (sup.cpu.get(r), refr.cpu.get(r));
+            let (sv, rv) = (tier.cpu.get(r), refr.cpu.get(r));
             if sv != rv {
                 push_divergence(
                     divs,
@@ -1114,30 +1119,30 @@ pub fn backend_lockstep_policy(
                 );
             }
         }
-        if sup.cpu.flags != refr.cpu.flags {
+        if tier.cpu.flags != refr.cpu.flags {
             push_divergence(
                 divs,
                 rip,
                 format!(
                     "flags differ at {rip:#x}: {backend} {:?}, step {:?}",
-                    sup.cpu.flags, refr.cpu.flags
+                    tier.cpu.flags, refr.cpu.flags
                 ),
             );
         }
-        if sup.counters != refr.counters {
+        if tier.counters != refr.counters {
             push_divergence(
                 divs,
                 rip,
                 format!(
                     "cost counters differ at {rip:#x}: {backend} {:?}, step {:?}",
-                    sup.counters, refr.counters
+                    tier.counters, refr.counters
                 ),
             );
         }
-        if sup.runtime.errors != refr.runtime.errors {
-            let n = sup.runtime.errors.len().min(refr.runtime.errors.len());
+        if tier.runtime.errors != refr.runtime.errors {
+            let n = tier.runtime.errors.len().min(refr.runtime.errors.len());
             let at = (0..n)
-                .find(|&k| sup.runtime.errors[k] != refr.runtime.errors[k])
+                .find(|&k| tier.runtime.errors[k] != refr.runtime.errors[k])
                 .unwrap_or(n);
             push_divergence(
                 divs,
@@ -1145,15 +1150,15 @@ pub fn backend_lockstep_policy(
                 format!(
                     "error reports differ at {rip:#x} (first mismatch is report #{at}): \
                      {backend} has {}, step has {}",
-                    sup.runtime.errors.len(),
+                    tier.runtime.errors.len(),
                     refr.runtime.errors.len()
                 ),
             );
         }
         if divs.len() >= MAX_FAILURES {
-            break (sup_end, ref_end);
+            break (tier_end, ref_end);
         }
-        match (sup_end, ref_end) {
+        match (tier_end, ref_end) {
             (None, None) => {
                 if executed == 0 {
                     push_divergence(divs, rip, format!("{backend} backend stalled at {rip:#x}"));
@@ -1164,25 +1169,46 @@ pub fn backend_lockstep_policy(
         }
     };
 
-    if sup_end != ref_end {
+    if tier_end != ref_end {
         report.divergences.truncate(MAX_FAILURES - 1);
         report.divergences.push(Divergence {
             rip: refr.cpu.rip,
-            detail: format!("run results differ: {backend} {sup_end:?}, step {ref_end:?}"),
+            detail: format!("run results differ: {backend} {tier_end:?}, step {ref_end:?}"),
         });
-    } else if sup.runtime.io.digest() != refr.runtime.io.digest() {
+    } else if tier.runtime.io.digest() != refr.runtime.io.digest() {
         report.divergences.truncate(MAX_FAILURES - 1);
         report.divergences.push(Divergence {
             rip: refr.cpu.rip,
             detail: format!(
                 "guest IO digests differ: {backend} {:#x}, step {:#x}",
-                sup.runtime.io.digest(),
+                tier.runtime.io.digest(),
                 refr.runtime.io.digest()
             ),
         });
+    } else if tier.runtime.profile != refr.runtime.profile {
+        let (sp, rp) = (&tier.runtime.profile, &refr.runtime.profile);
+        let site = sp
+            .keys()
+            .chain(rp.keys())
+            .filter(|s| sp.get(s) != rp.get(s))
+            .min()
+            .copied()
+            .unwrap_or(0);
+        report.divergences.truncate(MAX_FAILURES - 1);
+        report.divergences.push(Divergence {
+            rip: refr.cpu.rip,
+            detail: format!(
+                "profiles differ ({} vs {} sites); first mismatch at site {site:#x}: \
+                 {backend} {:?}, step {:?}",
+                sp.len(),
+                rp.len(),
+                sp.get(&site),
+                rp.get(&site)
+            ),
+        });
     }
-    report.completed = sup_end.is_some() && ref_end.is_some();
-    report.superblock_exit = sup_end;
+    report.completed = tier_end.is_some() && ref_end.is_some();
+    report.backend_exit = tier_end;
     report.step_exit = ref_end;
     report
 }
@@ -1839,18 +1865,14 @@ mod tests {
         }";
         let image = redfat_minic::compile(src).unwrap();
         let hardened = harden(&image, &HardenConfig::default()).unwrap();
-        for backend in [
-            ExecBackend::Superblock,
-            ExecBackend::Trace,
-            ExecBackend::Fast,
-        ] {
+        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
             let rep = backend_lockstep(&image, &[3], backend, 5_000_000);
             assert!(
                 rep.completed,
                 "{backend}: baseline run incomplete: {rep:#?}"
             );
             assert!(rep.clean(), "{backend}: {:#?}", rep.divergences);
-            assert_eq!(rep.superblock_exit, Some(RunResult::Exited(0)));
+            assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
             assert_eq!(rep.step_exit, Some(RunResult::Exited(0)));
             assert!(rep.blocks > 0 && rep.instructions > rep.blocks);
 
@@ -1862,8 +1884,43 @@ mod tests {
                 "{backend}: hardened run incomplete: {rep:#?}"
             );
             assert!(rep.clean(), "{backend}: {:#?}", rep.divergences);
-            assert_eq!(rep.superblock_exit, Some(RunResult::Exited(0)));
+            assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
         }
+    }
+
+    #[test]
+    fn backend_lockstep_audits_profiling_images() {
+        // `genlist` builds the allow-list from the profiling run's
+        // per-site counts, so those must be backend-independent too.
+        let src = "fn main() {
+            var n = input();
+            var a = malloc(8 * 8);
+            var t = a - 64;
+            for (var i = 0; i < 8; i = i + 1) { a[i] = i * n; }
+            print(t[8 + n] + a[3]);
+            free(a);
+            return 0;
+        }";
+        let image = redfat_minic::compile(src).unwrap();
+        let prof = crate::instrument_profile(&image).unwrap();
+        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
+            let rep = backend_lockstep(&prof.image, &[3], backend, 5_000_000);
+            assert!(
+                rep.completed,
+                "{backend}: profiling run incomplete: {rep:#?}"
+            );
+            assert!(rep.clean(), "{backend}: {:#?}", rep.divergences);
+            assert_eq!(rep.backend_exit, Some(RunResult::Exited(0)));
+        }
+        let mut emu = Emu::load_image(
+            &prof.image,
+            HostRuntime::new(ErrorMode::Log).with_input(vec![3]),
+        )
+        .unwrap();
+        emu.run_backend(ExecBackend::Fast, 5_000_000);
+        let profile = &emu.runtime.profile;
+        assert!(profile.values().any(|p| p.passes > 0), "{profile:?}");
+        assert!(profile.values().any(|p| p.fails > 0), "{profile:?}");
     }
 
     #[test]
@@ -1875,11 +1932,7 @@ mod tests {
             return 0;
         }";
         let image = redfat_minic::compile(src).unwrap();
-        for backend in [
-            ExecBackend::Superblock,
-            ExecBackend::Trace,
-            ExecBackend::Fast,
-        ] {
+        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
             for budget in [1u64, 7, 100, 12345] {
                 let rep = backend_lockstep(&image, &[], backend, budget);
                 assert!(
@@ -1888,7 +1941,7 @@ mod tests {
                     rep.divergences
                 );
                 assert!(rep.completed, "{backend} budget {budget}");
-                assert_eq!(rep.superblock_exit, Some(RunResult::StepLimit));
+                assert_eq!(rep.backend_exit, Some(RunResult::StepLimit));
                 assert_eq!(rep.step_exit, Some(RunResult::StepLimit));
                 assert_eq!(rep.instructions, budget);
             }

@@ -134,7 +134,7 @@ impl ICache {
     /// Drops every cached decode in the segment containing `addr`.
     /// Returns `false` when no tracked segment contains it. The pool
     /// keeps the stale entries (bounded garbage, same policy as the
-    /// superblock cache); only the slot mapping is reset.
+    /// trace cache); only the slot mapping is reset.
     fn invalidate(&mut self, addr: u64) -> bool {
         match self.seg_of(addr) {
             Some(seg) => {
@@ -198,7 +198,10 @@ impl<R: Runtime> Emu<R> {
         self.trap_table.insert(addr, target);
     }
 
-    /// Runs until exit, error or `max_steps` instructions.
+    /// Runs until exit, error or `max_steps` instructions on the step
+    /// interpreter: the reference the translated tiers are audited
+    /// against. End-to-end paths run [`Emu::run_backend`] on
+    /// [`crate::ExecBackend::default`] instead.
     pub fn run(&mut self, max_steps: u64) -> RunResult {
         for _ in 0..max_steps {
             match self.step() {

@@ -1,11 +1,15 @@
-//! Trace-linked tier tests: the chained backend must stay
-//! observationally identical to the step interpreter across the
-//! machinery the superblock tier does not have -- direct-exit chaining,
-//! indirect-branch inline caches, cross-segment mega traces, segment
-//! invalidation mid-loop, and step budgets that expire inside a trace.
+//! Translated-tier tests: the trace-linked and fast backends must stay
+//! observationally identical to the step interpreter -- same run
+//! result, same counters (including modeled cycles), same final CPU
+//! state -- across the block-cache shapes (loops, one-instruction
+//! blocks, jumps into the middle of an already-decoded run, straight-line
+//! runs longer than [`TRACE_CAP`], trampoline region crossings) and the
+//! trace machinery (direct-exit chaining, indirect-branch inline caches,
+//! cross-segment traces, segment invalidation mid-loop, and step budgets
+//! that expire inside a trace).
 
 use redfat_elf::{Image, ImageKind, SegFlags, Segment};
-use redfat_emu::{syscalls, Emu, ErrorMode, ExecBackend, HostRuntime, RunResult};
+use redfat_emu::{syscalls, Emu, ErrorMode, ExecBackend, HostRuntime, RunResult, TRACE_CAP};
 use redfat_vm::{layout, Prot};
 use redfat_x86::{AluOp, Asm, Cond, Mem, Reg, Width};
 
@@ -305,4 +309,141 @@ fn budget_expiry_mid_trace_retires_identical_counter_deltas() {
             "post-resume divergence (budget {budget})"
         );
     }
+}
+
+/// Runs `image` on `step()` and on the fast tier and asserts the run
+/// result and final state are identical. Returns the common result and
+/// final `rdi`.
+fn assert_fast_agrees(image: &Image, max_steps: u64) -> (RunResult, i64) {
+    let (mut step, mut fast) = (load(image), load(image));
+    let r = step.run_backend(ExecBackend::Step, max_steps);
+    assert_eq!(r, fast.run_backend(ExecBackend::Fast, max_steps));
+    assert_eq!(snap(&step), snap(&fast), "state differs");
+    (r, snap(&step).1)
+}
+
+/// A single-segment image running `f`, then `exit(rdi)`.
+fn image_of(f: impl FnOnce(&mut Asm)) -> Image {
+    let mut a = Asm::new(layout::CODE_BASE);
+    f(&mut a);
+    a.mov_ri(Width::W64, Reg::Rax, syscalls::EXIT as i64);
+    a.syscall();
+    let p = a.finish().unwrap();
+    Image {
+        kind: ImageKind::Exec,
+        entry: layout::CODE_BASE,
+        segments: vec![Segment::new(p.base, SegFlags::RX, p.bytes)],
+        symbols: vec![],
+    }
+}
+
+#[test]
+fn loop_then_one_instruction_blocks() {
+    // A countdown loop whose body is a multi-instruction block, followed
+    // by back-to-back jumps: each `jmp` target starts a block whose only
+    // instruction is another transfer.
+    let image = image_of(|a| {
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        a.mov_ri(Width::W64, Reg::Rbx, 10);
+        let head = a.label();
+        a.bind(head).unwrap();
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 3);
+        a.alu_ri(AluOp::Sub, Width::W64, Reg::Rbx, 1);
+        a.jcc_label(Cond::Ne, head);
+        let (b, c) = (a.label(), a.label());
+        a.jmp_label(b);
+        a.bind(c).unwrap();
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1000);
+        let done = a.label();
+        a.jmp_label(done);
+        a.bind(b).unwrap();
+        a.jmp_label(c);
+        a.bind(done).unwrap();
+    });
+    assert_eq!(
+        assert_fast_agrees(&image, 100_000),
+        (RunResult::Exited(1030), 1030)
+    );
+}
+
+#[test]
+fn jump_into_middle_of_decoded_run() {
+    // The first pass decodes a straight-line trace spanning `mid`; the
+    // loop then re-enters at `mid`, which starts a *new* trace there.
+    let image = image_of(|a| {
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        a.mov_ri(Width::W64, Reg::Rbx, 3);
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1);
+        let mid = a.label();
+        a.bind(mid).unwrap();
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 10);
+        a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 100);
+        a.alu_ri(AluOp::Sub, Width::W64, Reg::Rbx, 1);
+        a.jcc_label(Cond::Ne, mid);
+    });
+    let (r, _) = assert_fast_agrees(&image, 100_000);
+    assert_eq!(r, RunResult::Exited(331));
+}
+
+#[test]
+fn straight_line_longer_than_trace_cap() {
+    // More fall-through instructions than TRACE_CAP: the run is split
+    // across several capped traces, with no behavioral difference, and
+    // budgets landing in every piece stop on identical state.
+    let n = 2 * TRACE_CAP + 17;
+    let image = image_of(|a| {
+        a.mov_ri(Width::W64, Reg::Rdi, 0);
+        for _ in 0..n {
+            a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1);
+        }
+    });
+    let (r, _) = assert_fast_agrees(&image, 100_000);
+    assert_eq!(r, RunResult::Exited(n as i64));
+    for budget in [
+        1,
+        2,
+        7,
+        TRACE_CAP as u64,
+        TRACE_CAP as u64 + 1,
+        2 * TRACE_CAP as u64 + 5,
+    ] {
+        let (r, _) = assert_fast_agrees(&image, budget);
+        assert_eq!(r, RunResult::StepLimit, "budget {budget}");
+    }
+}
+
+#[test]
+fn trampoline_region_crossings() {
+    // Main text jumps into a trampoline segment and back: both backends
+    // must count the same transfers and region crossings.
+    let mut a = Asm::new(layout::CODE_BASE);
+    a.mov_ri(Width::W64, Reg::Rdi, 7);
+    a.jmp_abs(layout::TRAMPOLINE_BASE).unwrap();
+    let ret = a.here();
+    a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1);
+    a.mov_ri(Width::W64, Reg::Rax, syscalls::EXIT as i64);
+    a.syscall();
+    let main = a.finish().unwrap();
+
+    let mut t = Asm::new(layout::TRAMPOLINE_BASE);
+    t.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 35);
+    t.jmp_abs(ret).unwrap();
+    let tramp = t.finish().unwrap();
+
+    let image = Image {
+        kind: ImageKind::Exec,
+        entry: layout::CODE_BASE,
+        segments: vec![
+            Segment::new(main.base, SegFlags::RX, main.bytes),
+            Segment::new(tramp.base, SegFlags::RX, tramp.bytes),
+        ],
+        symbols: vec![],
+    };
+    let (r, _) = assert_fast_agrees(&image, 100_000);
+    assert_eq!(r, RunResult::Exited(43));
+
+    // The crossings actually happened (text -> trampoline -> text).
+    let mut emu = load(&image);
+    emu.run_backend(ExecBackend::Fast, 100_000);
+    assert_eq!(emu.counters.region_crossings, 2);
 }
