@@ -6,7 +6,7 @@
 //! batch, then measures wall time over enough iterations to smooth jitter
 //! and prints ns/iter. `cargo bench -p redfat-bench` runs them all.
 
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::ErrorMode;
 use redfat_lowfat::{LowFatConfig, RedFatHeap};
 use redfat_minic::compile;
@@ -104,13 +104,13 @@ fn bench_guest_execution() {
         .unwrap()
         .image;
     bench("guest/baseline", 50, || {
-        black_box(run_once(&image, vec![], ErrorMode::Log, u64::MAX));
+        black_box(run(&image, RunSpec::new(vec![], ErrorMode::Log, u64::MAX)).expect("loads"));
     });
     bench("guest/hardened-full", 50, || {
-        black_box(run_once(&hardened, vec![], ErrorMode::Log, u64::MAX));
+        black_box(run(&hardened, RunSpec::new(vec![], ErrorMode::Log, u64::MAX)).expect("loads"));
     });
     bench("guest/hardened-redzone-only", 50, || {
-        black_box(run_once(&redzone, vec![], ErrorMode::Log, u64::MAX));
+        black_box(run(&redzone, RunSpec::new(vec![], ErrorMode::Log, u64::MAX)).expect("loads"));
     });
 }
 

@@ -5,8 +5,8 @@
 pub mod service;
 
 use redfat_core::{
-    collect_allowlist, harden, instrument_profile, run_once, try_run_backend_policy,
-    AllocPolicyKind, HardenConfig, LowFatPolicy,
+    collect_allowlist, harden, instrument_profile, run, AllocPolicyKind, HardenConfig,
+    LowFatPolicy, RunSpec,
 };
 use redfat_elf::Image;
 use redfat_emu::{Emu, ErrorMode, ExecBackend, RunResult};
@@ -54,7 +54,11 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
     let image = wl.image();
 
     // Baseline.
-    let base = run_once(&image, wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS);
+    let base = run(
+        &image,
+        RunSpec::new(wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS),
+    )
+    .expect("loads");
     assert!(
         matches!(base.result, RunResult::Exited(_)),
         "{}: baseline must exit ({:?})",
@@ -66,12 +70,11 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
 
     // Profiling phase on the train input.
     let prof = instrument_profile(&image).expect("profile instrumentation");
-    let train = run_once(
+    let train = run(
         &prof.image,
-        wl.train_input.clone(),
-        ErrorMode::Log,
-        MAX_STEPS,
-    );
+        RunSpec::new(wl.train_input.clone(), ErrorMode::Log, MAX_STEPS),
+    )
+    .expect("loads");
     assert!(
         matches!(train.result, RunResult::Exited(_)),
         "{}: profile run must exit ({:?})",
@@ -81,7 +84,11 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
     let allow = collect_allowlist(&train.profile);
 
     // Coverage accounting: sites dynamically reached on ref.
-    let cov = run_once(&prof.image, wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS);
+    let cov = run(
+        &prof.image,
+        RunSpec::new(wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS),
+    )
+    .expect("loads");
     let executed: BTreeSet<u64> = cov.profile.keys().copied().collect();
     let covered = executed.iter().filter(|s| allow.contains(**s)).count();
     let coverage = if executed.is_empty() {
@@ -117,12 +124,11 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
             6 => sites_interproc = hardened.stats.sites_eliminated_interproc,
             _ => {}
         }
-        let out = run_once(
+        let out = run(
             &hardened.image,
-            wl.ref_input.clone(),
-            ErrorMode::Log,
-            MAX_STEPS,
-        );
+            RunSpec::new(wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS),
+        )
+        .expect("loads");
         assert!(
             matches!(out.result, RunResult::Exited(_)),
             "{}: hardened run ({i}) must exit ({:?})",
@@ -176,54 +182,36 @@ pub fn table1_row(wl: &Workload) -> Table1Row {
 }
 
 /// False-positive measurement (§7.1): harden with LowFat on *all* sites
-/// (no allow-list), run ref in log mode, and count distinct erroring
-/// sites that are not planted real errors.
-pub fn false_positive_sites(wl: &Workload) -> usize {
-    false_positive_sites_policy(wl, AllocPolicyKind::default())
-}
-
-/// [`false_positive_sites`] with the runtime heap backed by the given
-/// allocator policy. The hardened image is identical across policies;
-/// only the placement decisions (and thus which intentional-OOB
-/// anti-idiom pointers land on live metadata) change.
-pub fn false_positive_sites_policy(wl: &Workload, policy: AllocPolicyKind) -> usize {
+/// (no allow-list), run ref in log mode with the runtime heap backed by
+/// `policy`, and count distinct erroring sites that are not planted real
+/// errors. The hardened image is identical across policies; only the
+/// placement decisions (and thus which intentional-OOB anti-idiom
+/// pointers land on live metadata) change.
+pub fn false_positive_sites(wl: &Workload, policy: AllocPolicyKind) -> usize {
     let image = wl.image();
     // Merging would attribute a merged check's error to its first member
     // site; measure without merging for exact per-site attribution.
     let cfg = HardenConfig::with_batch(LowFatPolicy::All);
     let hardened = harden(&image, &cfg).expect("hardening");
-    let out = try_run_backend_policy(
-        &hardened.image,
-        wl.ref_input.clone(),
-        ErrorMode::Log,
-        ExecBackend::default(),
-        MAX_STEPS,
+    let spec = RunSpec {
         policy,
-    )
-    .expect("image loads");
+        ..RunSpec::new(wl.ref_input.clone(), ErrorMode::Log, MAX_STEPS)
+    };
+    let out = run(&hardened.image, spec).expect("loads");
     let sites: BTreeSet<u64> = out.errors.iter().map(|e| e.site).collect();
     sites.len().saturating_sub(wl.planted_errors)
 }
 
-/// Detection verdict for a vulnerable program under RedFat hardening.
-pub fn redfat_detects(image: &Image, attack_input: &[i64]) -> bool {
-    redfat_detects_policy(image, attack_input, AllocPolicyKind::default())
-}
-
-/// [`redfat_detects`] with the runtime heap backed by the given
-/// allocator policy.
-pub fn redfat_detects_policy(image: &Image, attack_input: &[i64], policy: AllocPolicyKind) -> bool {
+/// Detection verdict for a vulnerable program under RedFat hardening,
+/// with the runtime heap backed by the given allocator policy.
+pub fn redfat_detects(image: &Image, attack_input: &[i64], policy: AllocPolicyKind) -> bool {
     let cfg = HardenConfig::with_merge(LowFatPolicy::All);
     let hardened = harden(image, &cfg).expect("hardening");
-    let out = try_run_backend_policy(
-        &hardened.image,
-        attack_input.to_vec(),
-        ErrorMode::Abort,
-        ExecBackend::default(),
-        MAX_STEPS,
+    let spec = RunSpec {
         policy,
-    )
-    .expect("image loads");
+        ..RunSpec::new(attack_input.to_vec(), ErrorMode::Abort, MAX_STEPS)
+    };
+    let out = run(&hardened.image, spec).expect("loads");
     matches!(out.result, RunResult::MemoryError(_))
 }
 

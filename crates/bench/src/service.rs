@@ -1,8 +1,7 @@
 //! Cache-performance measurements for the hardening service: component
 //! cache cold/warm wall-clock and artifact cache hit/miss latency.
 //!
-//! Shared by the `svcperf` bin (standalone report) and `perf`
-//! (the `"service"` section of `BENCH_perf.json`).
+//! Used by `perf` for the `"service"` section of `BENCH_perf.json`.
 
 use redfat_core::{harden_cached, HardenConfig, MemoryComponentCache};
 use redfat_service::{artifact_key, ArtifactCache, ArtifactEntry};

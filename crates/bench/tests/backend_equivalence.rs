@@ -4,7 +4,7 @@
 //! observer mode (a runtime with a memory-access hook, which the fast
 //! tier serves on its trace-tier path).
 
-use redfat_core::{harden, try_run_backend, HardenConfig, LowFatPolicy, RunOutcome};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunOutcome, RunSpec};
 use redfat_emu::{Emu, ErrorMode, ExecBackend, RunResult};
 use redfat_memcheck::MemcheckRuntime;
 use redfat_workloads::spec;
@@ -23,18 +23,15 @@ fn abort_mode_stops_identically_on_step_and_fast() {
     for name in ["calculix", "wrf"] {
         let image = spec::by_name(name).unwrap().image();
         let hardened = harden(&image, &HardenConfig::with_redundant(LowFatPolicy::All)).unwrap();
-        let run = |backend| -> RunOutcome {
-            try_run_backend(
-                &hardened.image,
-                error_input(name),
-                ErrorMode::Abort,
+        let run_on = |backend| -> RunOutcome {
+            let spec = RunSpec {
                 backend,
-                MAX_STEPS,
-            )
-            .unwrap()
+                ..RunSpec::new(error_input(name), ErrorMode::Abort, MAX_STEPS)
+            };
+            run(&hardened.image, spec).expect("loads")
         };
-        let step = run(ExecBackend::Step);
-        let fast = run(ExecBackend::Fast);
+        let step = run_on(ExecBackend::Step);
+        let fast = run_on(ExecBackend::Fast);
         assert!(
             matches!(step.result, RunResult::MemoryError(_)),
             "{name}: expected an abort, got {:?}",

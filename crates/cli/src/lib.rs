@@ -18,8 +18,8 @@
 //! returns the text it would print.
 
 use redfat_core::{
-    collect_allowlist, harden_threaded, instrument_profile, try_run_backend_policy, try_run_once,
-    AllowList, HardenConfig, LowFatPolicy,
+    collect_allowlist, harden_threaded, instrument_profile, run, AllowList, HardenConfig,
+    LowFatPolicy, RunSpec,
 };
 use redfat_elf::Image;
 use redfat_emu::{AllocPolicyKind, Emu, ErrorMode, ExecBackend, RunResult};
@@ -369,23 +369,21 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 return Err(err("genlist needs exactly one profiling binary"));
             };
             let image = load_image(prof)?;
-            let run = try_run_once(
-                &image,
-                args.input_values()?,
-                ErrorMode::Log,
-                args.max_steps()?,
-            )
-            .map_err(|e| err(format!("cannot load {prof}: {e}")))?;
-            if !matches!(run.result, RunResult::Exited(_)) {
-                return Err(err(format!("profiling run did not exit: {:?}", run.result)));
+            let spec = RunSpec::new(args.input_values()?, ErrorMode::Log, args.max_steps()?);
+            let outcome = run(&image, spec).map_err(|e| err(format!("cannot load {prof}: {e}")))?;
+            if !matches!(outcome.result, RunResult::Exited(_)) {
+                return Err(err(format!(
+                    "profiling run did not exit: {:?}",
+                    outcome.result
+                )));
             }
-            let allow = collect_allowlist(&run.profile);
+            let allow = collect_allowlist(&outcome.profile);
             std::fs::write(args.out()?, allow.to_text())
                 .map_err(|e| err(format!("cannot write allow-list: {e}")))?;
             writeln!(
                 out,
                 "observed {} sites, allow-listed {}",
-                run.profile.len(),
+                outcome.profile.len(),
                 allow.len()
             )
             .ok();
@@ -456,15 +454,13 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                 } else {
                     ErrorMode::Abort
                 };
-                let result = try_run_backend_policy(
-                    &image,
-                    inputs,
-                    mode,
+                let spec = RunSpec {
                     backend,
-                    steps,
-                    args.alloc_policy()?,
-                )
-                .map_err(|e| err(format!("cannot load {input}: {e}")))?;
+                    policy: args.alloc_policy()?,
+                    ..RunSpec::new(inputs, mode, steps)
+                };
+                let result =
+                    run(&image, spec).map_err(|e| err(format!("cannot load {input}: {e}")))?;
                 writeln!(out, "{:?}", result.result).ok();
                 for v in &result.io.out_ints {
                     writeln!(out, "{v}").ok();
@@ -716,7 +712,7 @@ fn run_selftest(
     out: &mut String,
 ) -> Result<(), CliError> {
     use redfat_core::selftest::{
-        allocator_invariants, backend_lockstep_policy, lockstep_images_policy, roundtrip_fuzz,
+        allocator_invariants, backend_lockstep, lockstep_images, roundtrip_fuzz, shrink_input,
     };
     let mut failures: Vec<String> = Vec::new();
     writeln!(out, "alloc-policy: {policy}").ok();
@@ -779,7 +775,7 @@ fn run_selftest(
                     ("hardened", &hardened.image, &input),
                     ("profile", &prof.image, &w.train_input),
                 ] {
-                    let rep = backend_lockstep_policy(img, input, backend, max_steps, policy);
+                    let rep = backend_lockstep(img, input, backend, max_steps, policy);
                     writeln!(
                         out,
                         "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
@@ -803,7 +799,7 @@ fn run_selftest(
                 }
             }
         }
-        let rep = lockstep_images_policy(
+        let rep = lockstep_images(
             &image,
             &hardened.image,
             &hardened.clobbers,
@@ -822,7 +818,7 @@ fn run_selftest(
         )
         .ok();
         if !rep.clean() || !rep.completed {
-            let shrunk = redfat_core::selftest::shrink_input_policy(
+            let shrunk = shrink_input(
                 &image,
                 &hardened.image,
                 &hardened.clobbers,
@@ -830,7 +826,7 @@ fn run_selftest(
                 max_steps,
                 policy,
             );
-            let rep2 = lockstep_images_policy(
+            let rep2 = lockstep_images(
                 &image,
                 &hardened.image,
                 &hardened.clobbers,
@@ -868,7 +864,7 @@ fn run_selftest(
             ))
         })?;
         for input in [&case.benign_input, &case.attack_input] {
-            let rep = lockstep_images_policy(
+            let rep = lockstep_images(
                 &image,
                 &hardened.image,
                 &hardened.clobbers,

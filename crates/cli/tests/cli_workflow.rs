@@ -2,6 +2,8 @@
 //! user would drive it, through files on disk.
 
 use redfat_cli::run_cli;
+use redfat_elf::{Image, ImageKind, SegFlags, Segment};
+use redfat_vm::layout;
 
 fn args(s: &[&str]) -> Vec<String> {
     s.iter().map(|a| a.to_string()).collect()
@@ -332,4 +334,67 @@ fn run_defaults_to_the_fast_tier() {
     let e = run(&["--backend", "superblock"]).expect_err("superblock is gone");
     assert!(e.message.contains("step|fast"), "{}", e.message);
     assert_eq!(e.code, 1);
+}
+
+#[test]
+fn fuzzlist_reports_an_unloadable_image_as_an_error() {
+    // The image parses and instruments, but one segment sits inside the
+    // stack's reserved range, so every profiling run fails to load.
+    let dir = tmpdir("fuzzlist-unloadable");
+    let elf = dir.join("bad.elf");
+    let lst = dir.join("allow.lst");
+    // xor edi, edi; xor eax, eax (EXIT); syscall
+    let code = vec![0x31, 0xFF, 0x31, 0xC0, 0x0F, 0x05];
+    let image = Image {
+        kind: ImageKind::Exec,
+        entry: layout::CODE_BASE,
+        segments: vec![
+            Segment::new(layout::CODE_BASE, SegFlags::RX, code),
+            Segment::new(layout::STACK_TOP - 4096, SegFlags::RW, vec![0; 16]),
+        ],
+        symbols: vec![],
+    };
+    std::fs::write(&elf, image.to_bytes()).unwrap();
+    let res = run_cli(&args(&[
+        "fuzzlist",
+        elf.to_str().unwrap(),
+        "-o",
+        lst.to_str().unwrap(),
+        "--iters",
+        "4",
+    ]));
+    let e = res.expect_err("an unloadable image must be an error");
+    assert!(e.message.contains("load"), "{}", e.message);
+    assert!(!lst.exists(), "no allow-list is written");
+}
+
+#[test]
+fn alloc_policy_reaches_the_hardened_run() {
+    // A computed-pointer slot skip: the deterministic policy places a
+    // live same-class neighbor where the access lands and misses it; the
+    // randomized policy leaves that slot free and reports it.
+    let case = redfat_workloads::skips::all().remove(0);
+    let dir = tmpdir("alloc-policy");
+    let src = dir.join("skip.mc");
+    let elf = dir.join("skip.elf");
+    let hard = dir.join("skip.hard");
+    std::fs::write(&src, &case.workload.source).unwrap();
+    let path = |p: &std::path::Path| p.to_str().unwrap().to_string();
+    run_cli(&args(&["compile", &path(&src), "-o", &path(&elf)])).expect("compile");
+    run_cli(&args(&["harden", &path(&elf), "-o", &path(&hard)])).expect("harden");
+    let attack = case
+        .attack_input
+        .iter()
+        .map(i64::to_string)
+        .collect::<Vec<_>>()
+        .join(",");
+    let run = |extra: &[&str]| {
+        let mut argv = vec!["run", hard.to_str().unwrap(), "--input", &attack];
+        argv.extend_from_slice(extra);
+        run_cli(&args(&argv)).expect("run")
+    };
+    let default = run(&[]);
+    assert!(!default.contains("MemoryError"), "{default}");
+    let randomized = run(&["--alloc-policy", "rand-lowfat"]);
+    assert!(randomized.contains("MemoryError"), "{randomized}");
 }

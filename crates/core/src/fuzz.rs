@@ -7,8 +7,9 @@
 //! sites are kept as seeds and mutated further; the accumulated profile
 //! across all executions feeds [`crate::collect_allowlist`].
 
-use crate::pipeline::{instrument_profile, HardenError};
-use crate::runner::run_once;
+use crate::error::RedfatError;
+use crate::pipeline::instrument_profile;
+use crate::runner::{run, RunSpec};
 use redfat_elf::Image;
 use redfat_emu::{ErrorMode, ProfileStats, RunResult};
 use std::collections::HashMap;
@@ -99,12 +100,13 @@ fn mutate(rng: &mut XorShift, input: &[i64]) -> Vec<i64> {
 ///
 /// Crashing or non-exiting inputs contribute whatever profile events they
 /// produced before dying (AFL keeps their coverage too), but are not
-/// added to the corpus.
+/// added to the corpus. An image that cannot be instrumented or loaded
+/// yields a structured error.
 pub fn fuzz_profile(
     image: &Image,
     seeds: &[Vec<i64>],
     config: &FuzzConfig,
-) -> Result<FuzzOutcome, HardenError> {
+) -> Result<FuzzOutcome, RedfatError> {
     let prof = instrument_profile(image)?;
     let mut rng = XorShift(config.seed | 1);
     let mut profile: HashMap<u64, ProfileStats> = HashMap::new();
@@ -114,24 +116,26 @@ pub fn fuzz_profile(
     }
     let mut executions = 0usize;
 
-    let run_and_merge =
-        |input: &Vec<i64>, profile: &mut HashMap<u64, ProfileStats>| -> (bool, usize) {
-            let out = run_once(&prof.image, input.clone(), ErrorMode::Log, config.max_steps);
-            let mut new_sites = 0usize;
-            for (site, stats) in out.profile {
-                let e = profile.entry(site).or_insert_with(|| {
-                    new_sites += 1;
-                    ProfileStats::default()
-                });
-                e.passes += stats.passes;
-                e.fails += stats.fails;
-            }
-            (matches!(out.result, RunResult::Exited(_)), new_sites)
-        };
+    let run_and_merge = |input: &Vec<i64>,
+                         profile: &mut HashMap<u64, ProfileStats>|
+     -> Result<(bool, usize), RedfatError> {
+        let spec = RunSpec::new(input.clone(), ErrorMode::Log, config.max_steps);
+        let out = run(&prof.image, spec)?;
+        let mut new_sites = 0usize;
+        for (site, stats) in out.profile {
+            let e = profile.entry(site).or_insert_with(|| {
+                new_sites += 1;
+                ProfileStats::default()
+            });
+            e.passes += stats.passes;
+            e.fails += stats.fails;
+        }
+        Ok((matches!(out.result, RunResult::Exited(_)), new_sites))
+    };
 
     // Seed pass.
     for seed in corpus.clone() {
-        run_and_merge(&seed, &mut profile);
+        run_and_merge(&seed, &mut profile)?;
         executions += 1;
     }
 
@@ -139,7 +143,7 @@ pub fn fuzz_profile(
     while executions < config.iterations {
         let parent = corpus[rng.below(corpus.len())].clone();
         let child = mutate(&mut rng, &parent);
-        let (exited, new_sites) = run_and_merge(&child, &mut profile);
+        let (exited, new_sites) = run_and_merge(&child, &mut profile)?;
         executions += 1;
         if exited && new_sites > 0 {
             corpus.push(child);
@@ -241,7 +245,11 @@ fn main() {
         let prof = instrument_profile(&image).unwrap();
         let mut exhaustive: HashMap<u64, ProfileStats> = HashMap::new();
         for v in 0..=64 {
-            let out = run_once(&prof.image, vec![v], ErrorMode::Log, 50_000_000);
+            let out = run(
+                &prof.image,
+                RunSpec::new(vec![v], ErrorMode::Log, 50_000_000),
+            )
+            .unwrap();
             assert!(matches!(out.result, RunResult::Exited(_)));
             for (site, stats) in out.profile {
                 let e = exhaustive.entry(site).or_default();

@@ -15,8 +15,9 @@
 //!   two-phase workflow; [`collect_allowlist`] turns the recorded
 //!   per-site pass/fail counters into an [`AllowList`]; hardening with
 //!   [`LowFatPolicy::AllowList`] closes the loop.
-//! * [`run_once`] is a convenience runner used by tests, examples and the
-//!   experiment harness.
+//! * [`run`] executes an image under the RedFat runtime as a [`RunSpec`]
+//!   says (input, error mode, backend, allocator policy, step budget):
+//!   the profiling run, the hardened run and every experiment use it.
 //!
 //! The generated checks are real x86-64 code operating on the low-fat
 //! SIZES/MAGICS tables installed by the runtime; no host-side shortcut
@@ -52,4 +53,4 @@ pub use pipeline::{
     Hardened,
 };
 pub use redfat_lowfat::AllocPolicyKind;
-pub use runner::{run_once, try_run_backend, try_run_backend_policy, try_run_once, RunOutcome};
+pub use runner::{run, RunOutcome, RunSpec};

@@ -1,12 +1,49 @@
-//! Convenience runner used by tests, examples and the experiment
-//! harness.
+//! The guest runner: every run of the §5 workflow (profiling,
+//! allow-list collection, the hardened run) and every experiment goes
+//! through [`run`].
 
 use redfat_elf::Image;
 use redfat_emu::{
-    Counters, Emu, ErrorMode, ExecBackend, GuestIo, HostRuntime, LoadError, MemoryError,
-    ProfileStats, RunResult, TraceStats,
+    AllocPolicyKind, Counters, Emu, ErrorMode, ExecBackend, GuestIo, HostRuntime, LoadError,
+    MemoryError, ProfileStats, RunResult, TraceStats,
 };
 use std::collections::HashMap;
+
+/// What to run an image with. Build one with [`RunSpec::new`] and set
+/// `backend` or `policy` with struct-update syntax.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// Values the guest reads with `input()`.
+    pub input: Vec<i64>,
+    /// Abort on the first memory error (hardening) or log and continue
+    /// (bug finding, profiling).
+    pub mode: ErrorMode,
+    /// Execution backend. Counters, I/O, reported errors and profiles
+    /// are backend-independent (the translated tiers are audited
+    /// against `step` by the selftest backend oracle); only wall-clock
+    /// time and [`RunOutcome::trace_stats`] differ.
+    pub backend: ExecBackend,
+    /// Allocator policy backing the runtime heap (the `--alloc-policy`
+    /// knob). The hardened image is policy-independent; only the
+    /// runtime's placement decisions change.
+    pub policy: AllocPolicyKind,
+    /// Step budget.
+    pub max_steps: u64,
+}
+
+impl RunSpec {
+    /// A spec on the default backend ([`ExecBackend::default`], the
+    /// fast tier) and the default allocator policy.
+    pub fn new(input: Vec<i64>, mode: ErrorMode, max_steps: u64) -> RunSpec {
+        RunSpec {
+            input,
+            mode,
+            backend: ExecBackend::default(),
+            policy: AllocPolicyKind::default(),
+            max_steps,
+        }
+    }
+}
 
 /// Everything a single guest run produced.
 #[derive(Debug)]
@@ -32,68 +69,13 @@ impl RunOutcome {
     }
 }
 
-/// Loads `image`, runs it with the given input under the standard
-/// RedFat runtime on the default execution backend
-/// ([`ExecBackend::default`], the fast tier), and collects the outcome.
-///
-/// `mode` selects abort-on-error (hardening) or log-and-continue
-/// (bug finding / profiling).
-pub fn run_once(image: &Image, input: Vec<i64>, mode: ErrorMode, max_steps: u64) -> RunOutcome {
-    // Safety of the expect: `run_once` is the documented panic-on-
-    // malformed-image convenience for tests and experiments; services
-    // and fault-tolerant callers use `try_run_once`.
-    #[allow(clippy::expect_used)]
-    try_run_once(image, input, mode, max_steps).expect("image loads")
-}
-
-/// [`run_once`] for images that may not load: a malformed image yields
-/// the loader's structured error instead of a panic.
-pub fn try_run_once(
-    image: &Image,
-    input: Vec<i64>,
-    mode: ErrorMode,
-    max_steps: u64,
-) -> Result<RunOutcome, LoadError> {
-    try_run_backend(image, input, mode, ExecBackend::default(), max_steps)
-}
-
-/// [`try_run_once`] on an explicit execution backend: `step` (the
-/// reference interpreter) or a translated tier. Counters, I/O,
-/// reported errors and profiles are backend-independent (the
-/// translated tiers are audited against `step` by the selftest
-/// backend oracle); only wall-clock time and [`RunOutcome::trace_stats`]
-/// differ.
-pub fn try_run_backend(
-    image: &Image,
-    input: Vec<i64>,
-    mode: ErrorMode,
-    backend: ExecBackend,
-    max_steps: u64,
-) -> Result<RunOutcome, LoadError> {
-    try_run_backend_policy(
-        image,
-        input,
-        mode,
-        backend,
-        max_steps,
-        redfat_emu::AllocPolicyKind::default(),
-    )
-}
-
-/// [`try_run_backend`] with the runtime heap backed by an explicit
-/// allocator policy (the `--alloc-policy` knob). The hardened image is
-/// policy-independent; only the runtime's placement decisions change.
-pub fn try_run_backend_policy(
-    image: &Image,
-    input: Vec<i64>,
-    mode: ErrorMode,
-    backend: ExecBackend,
-    max_steps: u64,
-    policy: redfat_emu::AllocPolicyKind,
-) -> Result<RunOutcome, LoadError> {
-    let runtime = HostRuntime::with_policy(mode, policy).with_input(input);
+/// Loads `image` under the standard RedFat runtime, runs it as `spec`
+/// says, and collects the outcome. A malformed image yields the
+/// loader's structured error.
+pub fn run(image: &Image, spec: RunSpec) -> Result<RunOutcome, LoadError> {
+    let runtime = HostRuntime::with_policy(spec.mode, spec.policy).with_input(spec.input);
     let mut emu = Emu::load_image(image, runtime)?;
-    let result = emu.run_backend(backend, max_steps);
+    let result = emu.run_backend(spec.backend, spec.max_steps);
     let trace_stats = emu.trace_stats();
     Ok(RunOutcome {
         result,

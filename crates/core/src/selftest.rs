@@ -5,14 +5,14 @@
 //! design says it must be. This module provides three complementary
 //! oracles, all deterministic and dependency-free:
 //!
-//! 1. **Lockstep differential oracle** ([`lockstep`]): runs the hardened
-//!    and baseline images side by side in two emulator instances and
-//!    compares architectural state (registers, flags, stored bytes) at
-//!    every original-instruction boundary. Divergence is flagged unless
-//!    it is attributable to an *intended* effect: a memory-error report
-//!    from an inserted check, or a declared dead-register clobber
-//!    ([`crate::ClobberInfo`], derived from the liveness analysis that
-//!    justified eliding the save/restore).
+//! 1. **Lockstep differential oracle** ([`lockstep_images`]): runs the
+//!    hardened and baseline images side by side in two emulator
+//!    instances and compares architectural state (registers, flags,
+//!    stored bytes) at every original-instruction boundary. Divergence
+//!    is flagged unless it is attributable to an *intended* effect: a
+//!    memory-error report from an inserted check, or a declared
+//!    dead-register clobber ([`crate::ClobberInfo`], derived from the
+//!    liveness analysis that justified eliding the save/restore).
 //! 2. **Encoder/decoder round-trip fuzzer** ([`roundtrip_fuzz`]):
 //!    `decode(encode(i)) == i` and byte-identical re-encoding over
 //!    randomized REX/ModRM/SIB/displacement/immediate forms, from a fixed
@@ -50,8 +50,7 @@
 // calls into this module.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::pipeline::{harden, ClobberInfo, HardenError};
-use crate::HardenConfig;
+use crate::pipeline::ClobberInfo;
 use redfat_elf::Image;
 use redfat_emu::{syscalls, Emu, EmuError, ErrorMode, ExecBackend, HostRuntime, RunResult};
 use redfat_lowfat::{
@@ -728,11 +727,7 @@ pub fn allocator_invariants(cases: usize, seed: u64) -> AllocReport {
 /// Runs `cases` randomized heap operations from `seed` against one
 /// policy, checking the redzone/metadata invariants after every
 /// mutation.
-pub fn allocator_invariants_policy(
-    cases: usize,
-    seed: u64,
-    policy: AllocPolicyKind,
-) -> AllocReport {
+fn allocator_invariants_policy(cases: usize, seed: u64, policy: AllocPolicyKind) -> AllocReport {
     let mut rng = SplitMix64::new(seed);
     let mut vm = Vm::new();
     let mut heap = RedFatHeap::new(LowFatConfig {
@@ -1032,20 +1027,11 @@ fn settle(outcome: Result<Option<RunResult>, EmuError>) -> Option<RunResult> {
 /// is exactly as strong a statement as the per-instruction oracle is
 /// for the other tiers. Slices are bounded at 4096 instructions so a
 /// run is audited at thousands of boundaries.
+///
+/// Both runs are backed by the allocator `policy`, and thus see the
+/// same deterministic pointer stream, so the oracle stays exact even
+/// under the randomized backend.
 pub fn backend_lockstep(
-    image: &Image,
-    input: &[i64],
-    backend: ExecBackend,
-    max_steps: u64,
-) -> BackendReport {
-    backend_lockstep_policy(image, input, backend, max_steps, AllocPolicyKind::default())
-}
-
-/// [`backend_lockstep`] with both runs backed by the given allocator
-/// policy. Both emulators use the same policy (and thus see the same
-/// deterministic pointer stream), so the oracle stays exact even under
-/// the randomized backend.
-pub fn backend_lockstep_policy(
     image: &Image,
     input: &[i64],
     backend: ExecBackend,
@@ -1227,7 +1213,7 @@ pub struct Divergence {
     pub detail: String,
 }
 
-/// Result of a [`lockstep`] run.
+/// Result of a [`lockstep_images`] run.
 #[derive(Debug, Default)]
 pub struct LockstepReport {
     /// Original-instruction boundaries at which full state was compared.
@@ -1279,48 +1265,11 @@ fn exit_equiv(b: &RunResult, h: &RunResult) -> bool {
     }
 }
 
-/// Hardens `image` under `config` and runs the lockstep oracle on the
-/// result, using the pipeline's own clobber declarations.
-pub fn lockstep(
-    image: &Image,
-    config: &HardenConfig,
-    input: &[i64],
-    max_steps: u64,
-) -> Result<LockstepReport, HardenError> {
-    let hardened = harden(image, config)?;
-    Ok(lockstep_images_policy(
-        image,
-        &hardened.image,
-        &hardened.clobbers,
-        input,
-        max_steps,
-        config.alloc_policy,
-    ))
-}
-
 /// Shrinks `input` to a minimal vector on which the hardened image still
-/// diverges from the baseline (ddmin over input elements).
+/// diverges from the baseline under the allocator `policy` (ddmin over
+/// input elements; a divergence seen under one policy need not
+/// reproduce under another).
 pub fn shrink_input(
-    baseline: &Image,
-    hardened: &Image,
-    clobbers: &HashMap<u64, ClobberInfo>,
-    input: &[i64],
-    max_steps: u64,
-) -> Vec<i64> {
-    shrink_input_policy(
-        baseline,
-        hardened,
-        clobbers,
-        input,
-        max_steps,
-        AllocPolicyKind::default(),
-    )
-}
-
-/// [`shrink_input`] reproducing the divergence under the given allocator
-/// policy (a divergence seen under one backend need not reproduce under
-/// another).
-pub fn shrink_input_policy(
     baseline: &Image,
     hardened: &Image,
     clobbers: &HashMap<u64, ClobberInfo>,
@@ -1329,7 +1278,7 @@ pub fn shrink_input_policy(
     policy: AllocPolicyKind,
 ) -> Vec<i64> {
     minimize(input, |cand| {
-        !lockstep_images_policy(baseline, hardened, clobbers, cand, max_steps, policy).clean()
+        !lockstep_images(baseline, hardened, clobbers, cand, max_steps, policy).clean()
     })
 }
 
@@ -1344,28 +1293,12 @@ pub fn shrink_input_policy(
 /// baseline to the same address, checking per instruction that nothing
 /// reads a clobbered register or flag (which would falsify the liveness
 /// analysis that justified the clobber).
+///
+/// Both runs are backed by the allocator `policy`. Baseline and hardened
+/// share it (deterministic per seed), so their pointer streams stay
+/// identical and every divergence is attributable to the
+/// instrumentation.
 pub fn lockstep_images(
-    baseline: &Image,
-    hardened: &Image,
-    clobbers: &HashMap<u64, ClobberInfo>,
-    input: &[i64],
-    max_steps: u64,
-) -> LockstepReport {
-    lockstep_images_policy(
-        baseline,
-        hardened,
-        clobbers,
-        input,
-        max_steps,
-        AllocPolicyKind::default(),
-    )
-}
-
-/// [`lockstep_images`] with both runs backed by the given allocator
-/// policy. Baseline and hardened share the policy (deterministic per
-/// seed), so their pointer streams stay identical and every divergence
-/// is attributable to the instrumentation.
-pub fn lockstep_images_policy(
     baseline: &Image,
     hardened: &Image,
     clobbers: &HashMap<u64, ClobberInfo>,
@@ -1706,7 +1639,7 @@ pub fn lockstep_images_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{HardenConfig, LowFatPolicy};
+    use crate::{harden, HardenConfig, LowFatPolicy};
     use redfat_analysis::Cfg;
     use redfat_elf::{ImageKind, SegFlags, Segment};
     use redfat_rewriter::{rewrite, Patch};
@@ -1780,7 +1713,14 @@ mod tests {
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
         let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
-        let rep = lockstep_images(&image, &out.image, &HashMap::new(), &[], 100_000);
+        let rep = lockstep_images(
+            &image,
+            &out.image,
+            &HashMap::new(),
+            &[],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(!rep.clean(), "undeclared clobber not flagged: {rep:#?}");
         assert!(
             rep.divergences.iter().any(|d| d.detail.contains("Rbx")),
@@ -1809,7 +1749,14 @@ mod tests {
         let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
 
         // Undeclared: flagged.
-        let rep = lockstep_images(&image, &out.image, &HashMap::new(), &[], 100_000);
+        let rep = lockstep_images(
+            &image,
+            &out.image,
+            &HashMap::new(),
+            &[],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(!rep.clean(), "expected the undeclared clobber to be seen");
 
         // Declared: clean, and both runs exit 5.
@@ -1821,7 +1768,14 @@ mod tests {
                 flags: false,
             },
         );
-        let rep = lockstep_images(&image, &out.image, &declared, &[], 100_000);
+        let rep = lockstep_images(
+            &image,
+            &out.image,
+            &declared,
+            &[],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(rep.clean(), "{:#?}", rep.divergences);
         assert!(rep.completed);
         assert_eq!(rep.baseline_exit, Some(RunResult::Exited(5)));
@@ -1847,7 +1801,14 @@ mod tests {
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
         let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
-        let shrunk = shrink_input(&image, &out.image, &HashMap::new(), &[1, 2, 3], 100_000);
+        let shrunk = shrink_input(
+            &image,
+            &out.image,
+            &HashMap::new(),
+            &[1, 2, 3],
+            100_000,
+            AllocPolicyKind::default(),
+        );
         assert!(shrunk.is_empty(), "{shrunk:?}");
     }
 
@@ -1866,7 +1827,8 @@ mod tests {
         let image = redfat_minic::compile(src).unwrap();
         let hardened = harden(&image, &HardenConfig::default()).unwrap();
         for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-            let rep = backend_lockstep(&image, &[3], backend, 5_000_000);
+            let rep =
+                backend_lockstep(&image, &[3], backend, 5_000_000, AllocPolicyKind::default());
             assert!(
                 rep.completed,
                 "{backend}: baseline run incomplete: {rep:#?}"
@@ -1878,7 +1840,13 @@ mod tests {
 
             // The hardened image exercises trampoline crossings and the
             // inserted check payloads under the translated backends.
-            let rep = backend_lockstep(&hardened.image, &[3], backend, 5_000_000);
+            let rep = backend_lockstep(
+                &hardened.image,
+                &[3],
+                backend,
+                5_000_000,
+                AllocPolicyKind::default(),
+            );
             assert!(
                 rep.completed,
                 "{backend}: hardened run incomplete: {rep:#?}"
@@ -1904,7 +1872,13 @@ mod tests {
         let image = redfat_minic::compile(src).unwrap();
         let prof = crate::instrument_profile(&image).unwrap();
         for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-            let rep = backend_lockstep(&prof.image, &[3], backend, 5_000_000);
+            let rep = backend_lockstep(
+                &prof.image,
+                &[3],
+                backend,
+                5_000_000,
+                AllocPolicyKind::default(),
+            );
             assert!(
                 rep.completed,
                 "{backend}: profiling run incomplete: {rep:#?}"
@@ -1934,7 +1908,8 @@ mod tests {
         let image = redfat_minic::compile(src).unwrap();
         for backend in [ExecBackend::Trace, ExecBackend::Fast] {
             for budget in [1u64, 7, 100, 12345] {
-                let rep = backend_lockstep(&image, &[], backend, budget);
+                let rep =
+                    backend_lockstep(&image, &[], backend, budget, AllocPolicyKind::default());
                 assert!(
                     rep.clean(),
                     "{backend} budget {budget}: {:#?}",
@@ -1965,7 +1940,15 @@ mod tests {
             HardenConfig::unoptimized(LowFatPolicy::All),
             HardenConfig::default(),
         ] {
-            let rep = lockstep(&image, &config, &[3], 5_000_000).unwrap();
+            let hardened = harden(&image, &config).unwrap();
+            let rep = lockstep_images(
+                &image,
+                &hardened.image,
+                &hardened.clobbers,
+                &[3],
+                5_000_000,
+                config.alloc_policy,
+            );
             assert!(rep.completed, "run did not complete: {rep:#?}");
             assert!(rep.clean(), "{:#?}", rep.divergences);
             assert_eq!(rep.baseline_exit, Some(RunResult::Exited(0)));

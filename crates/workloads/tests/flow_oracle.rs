@@ -14,7 +14,7 @@
 //!    Table 2 attack/benign suites.
 
 use redfat_analysis::{analyze_image, analyze_image_opts, AnalyzeOptions, SiteVerdict};
-use redfat_core::{harden, run_once, HardenConfig, LowFatPolicy};
+use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::{
     Cpu, Emu, ErrorMode, HostRuntime, MemoryError, RunResult, Runtime, SyscallOutcome,
 };
@@ -194,18 +194,16 @@ fn interproc_pass_wins_on_at_least_eight_benchmarks() {
             wl.name
         );
 
-        let base = run_once(
+        let base = run(
             &redund.image,
-            wl.train_input.clone(),
-            ErrorMode::Log,
-            4_000_000_000,
-        );
-        let opt = run_once(
+            RunSpec::new(wl.train_input.clone(), ErrorMode::Log, 4_000_000_000),
+        )
+        .expect("loads");
+        let opt = run(
             &inter.image,
-            wl.train_input.clone(),
-            ErrorMode::Log,
-            4_000_000_000,
-        );
+            RunSpec::new(wl.train_input.clone(), ErrorMode::Log, 4_000_000_000),
+        )
+        .expect("loads");
         assert_eq!(
             base.io.digest(),
             opt.io.digest(),
@@ -258,18 +256,16 @@ fn flow_pass_wins_on_most_benchmarks() {
         }
         // Strictly more instrumentation removed; runs must agree and
         // cost no more cycles than "+merge".
-        let base = run_once(
+        let base = run(
             &merge.image,
-            wl.train_input.clone(),
-            ErrorMode::Log,
-            4_000_000_000,
-        );
-        let opt = run_once(
+            RunSpec::new(wl.train_input.clone(), ErrorMode::Log, 4_000_000_000),
+        )
+        .expect("loads");
+        let opt = run(
             &flow.image,
-            wl.train_input.clone(),
-            ErrorMode::Log,
-            4_000_000_000,
-        );
+            RunSpec::new(wl.train_input.clone(), ErrorMode::Log, 4_000_000_000),
+        )
+        .expect("loads");
         assert_eq!(
             base.io.digest(),
             opt.io.digest(),
@@ -298,12 +294,11 @@ fn flow_pass_wins_on_most_benchmarks() {
 fn redundant_pass_preserves_detection_verdicts() {
     let verdict = |cfg: &HardenConfig, wl: &redfat_workloads::Workload, input: &[i64]| -> bool {
         let hardened = harden(&wl.image(), cfg).expect("hardens");
-        let out = run_once(
+        let out = run(
             &hardened.image,
-            input.to_vec(),
-            ErrorMode::Abort,
-            50_000_000,
-        );
+            RunSpec::new(input.to_vec(), ErrorMode::Abort, 50_000_000),
+        )
+        .expect("loads");
         matches!(out.result, RunResult::MemoryError(_))
     };
     let merge = HardenConfig::with_merge(LowFatPolicy::All);
