@@ -35,11 +35,16 @@
 //! * [`summary`]: per-function summaries over the provenance lattice --
 //!   return-register facts, may-write register masks, and heap purity --
 //!   iterated over call-graph SCCs with recursion widening to Top.
-//! * [`report`]: per-site classification report (`redfat analyze`).
+//! * [`classify`]: the per-site check verdict -- syntactic, flow,
+//!   interprocedural -- shared by the hardening pipeline and the report,
+//!   over the image-wide roots and summaries of a [`FlowContext`].
+//! * [`report`]: per-site classification report (`redfat analyze`),
+//!   one entry point [`analyze_image`] taking [`AnalyzeOptions`].
 
 pub mod batch;
 pub mod callgraph;
 pub mod cfg;
+pub mod classify;
 pub mod dataflow;
 pub mod disasm;
 pub mod domtree;
@@ -53,6 +58,7 @@ pub mod summary;
 pub use batch::{merge_checks, plan_batches, Batch, MergedCheck};
 pub use callgraph::{CallGraph, CallSite};
 pub use cfg::{Cfg, MAX_BLOCK};
+pub use classify::{unreached_sites, FlowContext, SiteClassifier, SiteVerdict};
 pub use dataflow::{solve_forward, unknown_entries, ForwardAnalysis, ForwardSolution};
 pub use disasm::{disassemble, Disasm};
 pub use domtree::DomTree;
@@ -61,8 +67,7 @@ pub use liveness::{dead_flags_in_run, flags_live_after_run, Liveness};
 pub use provenance::{operand_non_heap, span_avoids_heap, AbsVal, Provenance, RegFacts};
 pub use redundant::RedundantChecks;
 pub use report::{
-    analyze, analyze_image, analyze_image_opts, analyze_image_threaded, analyze_opts,
-    analyze_threaded, render_callgraph, render_callgraph_dot, AnalysisReport, AnalyzeOptions,
-    SiteReport, SiteVerdict,
+    analyze, analyze_image, render_callgraph, render_callgraph_dot, AnalysisReport, AnalyzeOptions,
+    SiteReport,
 };
 pub use summary::{FuncSummary, Summaries};

@@ -35,7 +35,7 @@
 //! syscalls and unknown-entry joins.
 
 use crate::cfg::Cfg;
-use crate::dataflow::{solve_forward, unknown_entries, ForwardAnalysis, ForwardSolution};
+use crate::dataflow::{solve_forward, ForwardAnalysis, ForwardSolution};
 use crate::disasm::Disasm;
 use redfat_vm::layout;
 use redfat_x86::{AluOp, Inst, Mem, Op, Operands, Reg, ShiftOp, Width};
@@ -287,11 +287,6 @@ pub struct ProvenanceAnalysis {
 }
 
 impl ProvenanceAnalysis {
-    /// The intraprocedural analysis: every call clobbers all but `%rsp`.
-    pub fn new() -> ProvenanceAnalysis {
-        ProvenanceAnalysis::default()
-    }
-
     /// Attaches per-callee effects, keyed by callee entry address.
     pub fn with_effects(call_effects: HashMap<u64, CallEffect>) -> ProvenanceAnalysis {
         ProvenanceAnalysis { call_effects }
@@ -516,30 +511,18 @@ impl ProvenanceAnalysis {
 /// The computed provenance solution plus site-level queries.
 pub struct Provenance {
     solution: ForwardSolution<ProvenanceAnalysis>,
-    roots: BTreeSet<u64>,
 }
 
 impl Provenance {
-    /// Runs the analysis over a disassembled image.
-    pub fn compute(disasm: &Disasm, cfg: &Cfg, entry: u64) -> Provenance {
-        Provenance::compute_with_roots(disasm, cfg, &unknown_entries(disasm, cfg, entry))
-    }
-
-    /// Runs the analysis with a precomputed unknown-entry set, for
-    /// callers that shard one image into per-component sub-`Cfg`s:
-    /// `unknown_entries` scans the whole disassembly (its any-indirect
-    /// escape hatch is an image-wide property), so the pipeline computes
-    /// it once globally and this constructor intersects it with the
-    /// blocks actually present in `cfg`.
-    pub fn compute_with_roots(disasm: &Disasm, cfg: &Cfg, roots: &BTreeSet<u64>) -> Provenance {
-        Provenance::compute_with_roots_and_effects(disasm, cfg, roots, HashMap::new())
-    }
-
-    /// Interprocedural variant: direct calls to callees present in
-    /// `effects` apply the callee's summary instead of clobbering.
-    /// Sound for any sound effect map; an empty map reproduces the
-    /// intraprocedural analysis exactly.
-    pub fn compute_with_roots_and_effects(
+    /// Runs the analysis over `cfg` -- the whole image, or one
+    /// component from [`Cfg::components`]. `roots` is the image-wide
+    /// unknown-entry set ([`crate::unknown_entries`] scans the whole
+    /// disassembly, so a sharding caller computes it once); only the
+    /// roots inside `cfg` seed the solver. Direct calls to callees in
+    /// `effects` apply the callee's summary instead of clobbering;
+    /// sound for any sound effect map, and an empty map is the
+    /// intraprocedural analysis.
+    pub fn compute(
         disasm: &Disasm,
         cfg: &Cfg,
         roots: &BTreeSet<u64>,
@@ -556,12 +539,7 @@ impl Provenance {
             cfg,
             &roots,
         );
-        Provenance { solution, roots }
-    }
-
-    /// The unknown-entry blocks the analysis was rooted at.
-    pub fn roots(&self) -> &BTreeSet<u64> {
-        &self.roots
+        Provenance { solution }
     }
 
     /// Register facts immediately before `addr`, or `None` for
@@ -656,7 +634,7 @@ mod tests {
     /// not record a full-register fact for them.
     #[test]
     fn w8_partial_writes_clobber_to_top() {
-        let a = ProvenanceAnalysis::new();
+        let a = ProvenanceAnalysis::default();
         let rax_imm = |w, imm| inst(Op::Mov, w, Operands::RI { dst: Reg::Rax, imm });
 
         // mov $1, %al on a register holding a (possibly-heap) pointer.
@@ -713,7 +691,7 @@ mod tests {
     /// land at 0xffff_ff8x, not at -1..-128 mod 2^64.
     #[test]
     fn movsx8_width_sensitivity() {
-        let a = ProvenanceAnalysis::new();
+        let a = ProvenanceAnalysis::default();
         let movsx = |w| {
             inst(
                 Op::Movsx8,
@@ -743,7 +721,7 @@ mod tests {
     /// leal truncates the computed address to 32 bits.
     #[test]
     fn lea32_clamps_result() {
-        let a = ProvenanceAnalysis::new();
+        let a = ProvenanceAnalysis::default();
         let mut f = RegFacts::top();
         f.set(Reg::Rbx, AbsVal::exact(0x1_0000_0010));
         let lea = inst(
@@ -787,7 +765,7 @@ mod tests {
         assert_eq!(v, AbsVal::Top);
 
         // Same via repeated shl-by-imm through the transfer function.
-        let a = ProvenanceAnalysis::new();
+        let a = ProvenanceAnalysis::default();
         let mut f = with_exact_rax(1);
         let shl = inst(
             Op::Shift(ShiftOp::Shl),

@@ -42,12 +42,11 @@
 //! invariants -- mirroring the paper's merged-check fallback.
 
 use crate::cfg::Cfg;
-use crate::dataflow::{solve_forward, unknown_entries, ForwardAnalysis};
+use crate::dataflow::{solve_forward, ForwardAnalysis};
 use crate::disasm::Disasm;
 use crate::domtree::DomTree;
-use crate::provenance::Provenance;
 use redfat_x86::{Inst, Mem, Op, Reg, Seg};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// Operand shape: a memory operand with the displacement abstracted
 /// away. Two accesses with equal shapes address the same object
@@ -197,55 +196,30 @@ pub struct RedundantChecks {
 }
 
 impl RedundantChecks {
-    /// Runs the available-checks analysis and dominance validation.
+    /// Runs the available-checks analysis and dominance validation over
+    /// `cfg` (the whole image, or one component), seeded at the
+    /// image-wide unknown-entry `roots` that lie inside it. Only
+    /// instructions inside `cfg`'s blocks are examined -- instructions
+    /// in no block have no dataflow facts and are never redundant.
     ///
     /// `checked` must be exactly the predicate the instrumentation
     /// pipeline uses to decide which sites receive a *full* check
     /// (after syntactic and flow-sensitive elimination): only such
     /// sites can generate availability, and only such sites are
     /// candidates for downgrading.
+    ///
+    /// Direct calls to callees in `pure_masks` (closed, heap-pure
+    /// functions with a may-write mask) keep available checks on shapes
+    /// the callee provably does not disturb; an empty map is the
+    /// intraprocedural pass.
     pub fn compute<F: Fn(u64, &Inst) -> bool>(
         disasm: &Disasm,
         cfg: &Cfg,
-        entry: u64,
-        checked: F,
-    ) -> RedundantChecks {
-        RedundantChecks::compute_with_roots(
-            disasm,
-            cfg,
-            &unknown_entries(disasm, cfg, entry),
-            checked,
-        )
-    }
-
-    /// [`RedundantChecks::compute`] with a precomputed unknown-entry
-    /// set, for callers sharding one image into per-component
-    /// sub-`Cfg`s (the roots are an image-wide property; see
-    /// [`Provenance::compute_with_roots`]). Only instructions inside
-    /// `cfg`'s blocks are examined -- instructions in no block can never
-    /// be proven redundant (they have no dataflow facts).
-    pub fn compute_with_roots<F: Fn(u64, &Inst) -> bool>(
-        disasm: &Disasm,
-        cfg: &Cfg,
-        roots: &std::collections::BTreeSet<u64>,
-        checked: F,
-    ) -> RedundantChecks {
-        RedundantChecks::compute_with_roots_and_masks(disasm, cfg, roots, checked, HashMap::new())
-    }
-
-    /// Interprocedural variant: direct calls to callees present in
-    /// `pure_masks` (closed, heap-pure functions with a may-write mask)
-    /// keep available checks on shapes the callee provably does not
-    /// disturb. An empty map reproduces the intraprocedural pass
-    /// exactly.
-    pub fn compute_with_roots_and_masks<F: Fn(u64, &Inst) -> bool>(
-        disasm: &Disasm,
-        cfg: &Cfg,
-        roots: &std::collections::BTreeSet<u64>,
+        roots: &BTreeSet<u64>,
         checked: F,
         pure_masks: HashMap<u64, u16>,
     ) -> RedundantChecks {
-        let roots: std::collections::BTreeSet<u64> = roots
+        let roots: BTreeSet<u64> = roots
             .iter()
             .copied()
             .filter(|r| cfg.blocks.contains_key(r))
@@ -328,21 +302,6 @@ impl RedundantChecks {
     pub fn is_empty(&self) -> bool {
         self.redundant.is_empty()
     }
-}
-
-/// Convenience driver composing both flow passes the way the pipeline
-/// does: `flow` refines which sites need checks at all, and the
-/// redundant pass then runs with exactly that refined predicate.
-pub fn compute_with_provenance<F: Fn(u64, &Inst) -> bool>(
-    disasm: &Disasm,
-    cfg: &Cfg,
-    entry: u64,
-    prov: &Provenance,
-    base_checked: F,
-) -> RedundantChecks {
-    RedundantChecks::compute(disasm, cfg, entry, move |addr, inst| {
-        base_checked(addr, inst) && prov.site_can_reach_heap(disasm, cfg, addr, inst)
-    })
 }
 
 #[cfg(test)]

@@ -4,49 +4,12 @@
 
 use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
+use crate::classify::{unreached_sites, FlowContext, SiteClassifier, SiteVerdict};
 use crate::disasm::{disassemble, Disasm};
-use crate::elim::can_reach_heap;
-use crate::provenance::{AbsVal, Provenance};
-use crate::redundant::RedundantChecks;
+use crate::provenance::AbsVal;
 use crate::summary::Summaries;
 use redfat_elf::Image;
-use redfat_x86::Reg;
-use std::fmt;
-
-/// Why a site does or does not carry a full check.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SiteVerdict {
-    /// Full Redzone + LowFat check required.
-    Checked,
-    /// Eliminated by the syntactic rule (`rsp`/`rip`/absolute base, no
-    /// index).
-    EliminatedSyntactic,
-    /// Eliminated by flow-sensitive provenance: the abstract address
-    /// span provably avoids the heap.
-    EliminatedFlow,
-    /// Eliminated only with interprocedural call summaries: the
-    /// intraprocedural provenance cannot prove the span heap-free, but
-    /// with callee effects applied at call sites it can.
-    EliminatedInterproc,
-    /// Full check downgraded to redzone-only: subsumed by the
-    /// dominating check at `root`.
-    Redundant {
-        /// The dominating site whose full check subsumes this one.
-        root: u64,
-    },
-}
-
-impl fmt::Display for SiteVerdict {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SiteVerdict::Checked => write!(f, "checked"),
-            SiteVerdict::EliminatedSyntactic => write!(f, "elim:syntactic"),
-            SiteVerdict::EliminatedFlow => write!(f, "elim:flow"),
-            SiteVerdict::EliminatedInterproc => write!(f, "elim:interproc"),
-            SiteVerdict::Redundant { root } => write!(f, "redundant(root={root:#x})"),
-        }
-    }
-}
+use redfat_x86::{Inst, Reg};
 
 /// Classification of one memory-access site.
 #[derive(Debug, Clone)]
@@ -115,7 +78,7 @@ impl AnalysisReport {
     }
 }
 
-/// Knobs for [`analyze_image_opts`].
+/// Knobs for [`analyze_image`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyzeOptions {
     /// Worker threads for per-component sharding; `0` analyzes the
@@ -129,50 +92,6 @@ pub struct AnalyzeOptions {
 /// recovery, provenance, redundant-check elimination -- and classifies
 /// every memory-access site the way the instrumentation pipeline would
 /// under its most aggressive configuration (`instrument_reads = true`).
-pub fn analyze_image(image: &Image) -> AnalysisReport {
-    analyze_image_opts(image, AnalyzeOptions::default())
-}
-
-/// [`analyze_image`] with the per-component analyses sharded across
-/// `threads` worker threads. The report is identical to the serial one
-/// at any thread count (see [`Cfg::components`]).
-pub fn analyze_image_threaded(image: &Image, threads: usize) -> AnalysisReport {
-    analyze_image_opts(
-        image,
-        AnalyzeOptions {
-            threads,
-            interproc: false,
-        },
-    )
-}
-
-/// [`analyze_image`] with explicit [`AnalyzeOptions`].
-pub fn analyze_image_opts(image: &Image, opts: AnalyzeOptions) -> AnalysisReport {
-    let disasm = disassemble(image);
-    let cfg = Cfg::recover(&disasm, image.entry, &[]);
-    analyze_opts(&disasm, &cfg, image.entry, opts)
-}
-
-/// [`analyze_image`] over pre-computed disassembly and CFG.
-pub fn analyze(disasm: &Disasm, cfg: &Cfg, entry: u64) -> AnalysisReport {
-    analyze_opts(disasm, cfg, entry, AnalyzeOptions::default())
-}
-
-/// [`analyze`] sharded by weakly-connected CFG component across
-/// `threads` worker threads (see [`analyze_opts`]).
-pub fn analyze_threaded(disasm: &Disasm, cfg: &Cfg, entry: u64, threads: usize) -> AnalysisReport {
-    analyze_opts(
-        disasm,
-        cfg,
-        entry,
-        AnalyzeOptions {
-            threads,
-            interproc: false,
-        },
-    )
-}
-
-/// The analysis core behind every `analyze*` entry point.
 ///
 /// With `threads > 0` the per-component analyses are sharded across
 /// worker threads. Each component carries the full image-wide
@@ -182,65 +101,54 @@ pub fn analyze_threaded(disasm: &Disasm, cfg: &Cfg, entry: u64, threads: usize) 
 /// thread count. Interprocedural summaries are computed *globally*
 /// (call edges cross component boundaries by construction) and handed
 /// to every shard, which preserves the same property.
-pub fn analyze_opts(
-    disasm: &Disasm,
-    cfg: &Cfg,
-    entry: u64,
-    opts: AnalyzeOptions,
-) -> AnalysisReport {
-    let roots = crate::dataflow::unknown_entries(disasm, cfg, entry);
+pub fn analyze_image(image: &Image, opts: AnalyzeOptions) -> AnalysisReport {
+    let disasm = disassemble(image);
+    let cfg = Cfg::recover(&disasm, image.entry, &[]);
+    analyze_with(&disasm, &cfg, image.entry, opts)
+}
 
-    // Function attribution always wants the call graph; summaries only
-    // when the interprocedural pass is on.
-    let (graph, effects, masks) = if opts.interproc {
-        let sums = Summaries::compute(disasm, cfg, &roots);
-        let effects = sums.call_effects();
-        let masks = sums.pure_write_masks();
-        (sums.graph, Some(effects), Some(masks))
-    } else {
-        (CallGraph::build(disasm, cfg), None, None)
+/// [`analyze_image`] over pre-computed disassembly and CFG, unsharded
+/// and intraprocedural.
+pub fn analyze(disasm: &Disasm, cfg: &Cfg, entry: u64) -> AnalysisReport {
+    analyze_with(disasm, cfg, entry, AnalyzeOptions::default())
+}
+
+fn analyze_with(disasm: &Disasm, cfg: &Cfg, entry: u64, opts: AnalyzeOptions) -> AnalysisReport {
+    let flow = FlowContext::new(disasm, cfg, entry, opts.interproc);
+    // Function attribution wants the call graph; the summaries already
+    // built one when interprocedural.
+    let built;
+    let graph = match flow.call_graph() {
+        Some(g) => g,
+        None => {
+            built = CallGraph::build(disasm, cfg);
+            &built
+        }
     };
 
     let analyze_shard = |sub: &Cfg| -> Vec<SiteReport> {
-        let prov = match &effects {
-            Some(e) => Provenance::compute_with_roots_and_effects(disasm, sub, &roots, e.clone()),
-            None => Provenance::compute_with_roots(disasm, sub, &roots),
-        };
-        // The plain analysis, for attributing an elimination to the
-        // interprocedural tier. Only needed when effects are applied:
-        // without them `prov` *is* the plain analysis.
-        let prov_base = effects
-            .as_ref()
-            .map(|_| Provenance::compute_with_roots(disasm, sub, &roots));
-        let needs_full = |addr: u64, inst: &redfat_x86::Inst| -> bool {
-            let Some(mem) = inst.memory_access() else {
-                return false;
-            };
-            can_reach_heap(&mem) && prov.site_can_reach_heap(disasm, sub, addr, inst)
-        };
-        let redundant = match &masks {
-            Some(m) => RedundantChecks::compute_with_roots_and_masks(
-                disasm,
-                sub,
-                &roots,
-                needs_full,
-                m.clone(),
-            ),
-            None => RedundantChecks::compute_with_roots(disasm, sub, &roots, needs_full),
-        };
+        let classifier = SiteClassifier::new(disasm, sub, true, Some(&flow));
+        let redundant = flow.redundant_checks(disasm, sub, |addr, inst| {
+            classifier.classify(addr, inst) == Some(SiteVerdict::Checked)
+        });
         let mut sites = Vec::new();
         for block in sub.blocks.values() {
             for &addr in &block.insts {
                 let (inst, _) = disasm.at(addr).expect("block member decoded");
-                sites.extend(classify_site(
-                    disasm,
-                    sub,
-                    &graph,
-                    &prov,
-                    prov_base.as_ref(),
-                    &redundant,
+                let Some(verdict) = classifier.classify(addr, inst) else {
+                    continue;
+                };
+                let verdict = match (verdict, redundant.root_of(addr)) {
+                    (SiteVerdict::Checked, Some(root)) => SiteVerdict::Redundant { root },
+                    (v, _) => v,
+                };
+                let span = classifier.describe_span(addr, inst);
+                sites.push(site_report(
                     addr,
                     inst,
+                    graph.owner_of_addr(addr),
+                    verdict,
+                    span,
                 ));
             }
         }
@@ -255,84 +163,41 @@ pub fn analyze_opts(
             .flatten()
             .collect()
     };
-
-    // Instructions outside every recovered block never acquire dataflow
-    // facts, so their conservative classification needs no analysis:
-    // syntactic elimination still applies, everything else stays checked
-    // with an "unreached" span (exactly what the whole-image provenance
-    // reports for them).
-    let mut insts = 0usize;
-    for (addr, inst, _) in disasm.iter() {
-        insts += 1;
-        if cfg.block_of(addr).is_some() {
-            continue;
-        }
-        let Some(mem) = inst.memory_access() else {
-            continue;
-        };
-        sites.push(SiteReport {
-            addr,
-            func: None,
-            inst: inst.to_string(),
-            len: inst.access_len().unwrap_or(8),
-            is_write: inst.writes_memory(),
-            verdict: if !can_reach_heap(&mem) {
-                SiteVerdict::EliminatedSyntactic
-            } else {
-                SiteVerdict::Checked
-            },
-            span: "unreached".to_string(),
-        });
-    }
+    sites.extend(
+        unreached_sites(disasm, cfg, true)
+            .map(|(addr, inst, v)| site_report(addr, inst, None, v, "unreached".to_string())),
+    );
     sites.sort_by_key(|s| s.addr);
 
     AnalysisReport {
         sites,
         blocks: cfg.blocks.len(),
-        insts,
-        roots: roots.iter().filter(|r| cfg.blocks.contains_key(r)).count(),
+        insts: disasm.len(),
+        roots: flow
+            .roots()
+            .iter()
+            .filter(|r| cfg.blocks.contains_key(r))
+            .count(),
         interproc: opts.interproc,
     }
 }
 
-/// Classifies one memory-access site given its component's analyses.
-#[allow(clippy::too_many_arguments)]
-fn classify_site(
-    disasm: &Disasm,
-    cfg: &Cfg,
-    graph: &CallGraph,
-    prov: &Provenance,
-    prov_base: Option<&Provenance>,
-    redundant: &RedundantChecks,
+fn site_report(
     addr: u64,
-    inst: &redfat_x86::Inst,
-) -> Option<SiteReport> {
-    let mem = inst.memory_access()?;
-    let verdict = if !can_reach_heap(&mem) {
-        SiteVerdict::EliminatedSyntactic
-    } else if !prov.site_can_reach_heap(disasm, cfg, addr, inst) {
-        match prov_base {
-            // The plain analysis could not prove it: the elimination is
-            // the interprocedural tier's.
-            Some(base) if base.site_can_reach_heap(disasm, cfg, addr, inst) => {
-                SiteVerdict::EliminatedInterproc
-            }
-            _ => SiteVerdict::EliminatedFlow,
-        }
-    } else if let Some(root) = redundant.root_of(addr) {
-        SiteVerdict::Redundant { root }
-    } else {
-        SiteVerdict::Checked
-    };
-    Some(SiteReport {
+    inst: &Inst,
+    func: Option<u64>,
+    verdict: SiteVerdict,
+    span: String,
+) -> SiteReport {
+    SiteReport {
         addr,
-        func: graph.owner_of_addr(addr),
+        func,
         inst: inst.to_string(),
         len: inst.access_len().unwrap_or(8),
         is_write: inst.writes_memory(),
         verdict,
-        span: prov.describe_span(disasm, cfg, addr, inst),
-    })
+        span,
+    }
 }
 
 /// Renders the report as the `redfat analyze` text output.
@@ -517,43 +382,28 @@ mod tests {
     #[test]
     fn threaded_analysis_matches_serial() {
         let image = redfat_minic::compile(SRC).unwrap();
-        let serial = analyze_image(&image);
-        assert!(!serial.sites.is_empty());
-        for threads in [1usize, 2, 8] {
-            let par = analyze_image_threaded(&image, threads);
-            assert_eq!(
-                render(&serial),
-                render(&par),
-                "report differs at {threads} threads"
-            );
-            assert_eq!(serial.insts, par.insts);
-            assert_eq!(serial.blocks, par.blocks);
-            assert_eq!(serial.roots, par.roots);
-        }
-    }
-
-    #[test]
-    fn threaded_interproc_matches_serial() {
-        let image = redfat_minic::compile(SRC).unwrap();
-        let opts = |threads| AnalyzeOptions {
-            threads,
-            interproc: true,
-        };
-        let serial = analyze_image_opts(&image, opts(0));
-        for threads in [1usize, 2, 8] {
-            let par = analyze_image_opts(&image, opts(threads));
-            assert_eq!(
-                render(&serial),
-                render(&par),
-                "interproc report differs at {threads} threads"
-            );
+        for interproc in [false, true] {
+            let opts = |threads| AnalyzeOptions { threads, interproc };
+            let serial = analyze_image(&image, opts(0));
+            assert!(!serial.sites.is_empty());
+            for threads in [1usize, 2, 8] {
+                let par = analyze_image(&image, opts(threads));
+                assert_eq!(
+                    render(&serial),
+                    render(&par),
+                    "report differs at {threads} threads (interproc: {interproc})"
+                );
+                assert_eq!(serial.insts, par.insts);
+                assert_eq!(serial.blocks, par.blocks);
+                assert_eq!(serial.roots, par.roots);
+            }
         }
     }
 
     #[test]
     fn sites_carry_function_attribution() {
         let image = redfat_minic::compile(SRC).unwrap();
-        let report = analyze_image(&image);
+        let report = analyze_image(&image, AnalyzeOptions::default());
         // Every in-block site is attributed to some recovered function.
         assert!(report.sites.iter().all(|s| s.func.is_some()));
         // More than one function exists, and sites spread across them.

@@ -3,11 +3,12 @@
 //! checks, and conservatism on patterns that must NOT be eliminated.
 
 use redfat_analysis::{
-    analyze_image, can_reach_heap, disassemble, Cfg, DomTree, Provenance, RedundantChecks,
-    SiteVerdict,
+    analyze_image, can_reach_heap, disassemble, unknown_entries, AnalyzeOptions, Cfg, DomTree,
+    Provenance, RedundantChecks, SiteVerdict,
 };
 use redfat_minic::compile;
 use redfat_vm::Rng64;
+use std::collections::HashMap;
 
 /// Const-index accesses through a register holding a global's address:
 /// kept by the syntactic rule (general-purpose base), eliminated by
@@ -24,7 +25,7 @@ fn global_array_const_index_is_flow_eliminated() {
             return 0;
         }";
     let image = compile(src).expect("compiles");
-    let report = analyze_image(&image);
+    let report = analyze_image(&image, AnalyzeOptions::default());
     let flow = report.eliminated_flow();
     assert!(
         flow >= 2,
@@ -46,7 +47,7 @@ fn heap_accesses_survive_flow_elimination() {
             return 0;
         }";
     let image = compile(src).expect("compiles");
-    let report = analyze_image(&image);
+    let report = analyze_image(&image, AnalyzeOptions::default());
     // The heap stores/loads (plus the RMW pattern) must remain checked
     // or at most be *redundant* (still redzone-checked) -- never
     // flow-eliminated.
@@ -75,16 +76,20 @@ fn rmw_store_check_is_redundant() {
     let image = compile(src).expect("compiles");
     let disasm = disassemble(&image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
-    let redundant = RedundantChecks::compute(&disasm, &cfg, image.entry, |_, inst| {
-        inst.memory_access().is_some_and(|m| can_reach_heap(&m))
-    });
+    let roots = unknown_entries(&disasm, &cfg, image.entry);
+    let redundant = RedundantChecks::compute(
+        &disasm,
+        &cfg,
+        &roots,
+        |_, inst| inst.memory_access().is_some_and(|m| can_reach_heap(&m)),
+        HashMap::new(),
+    );
     assert!(
         !redundant.is_empty(),
         "RMW sequence produced no redundant checks"
     );
     // Every root must strictly dominate its site and must itself be
     // non-redundant (chains fully chased).
-    let roots = redfat_analysis::unknown_entries(&disasm, &cfg, image.entry);
     let dom = DomTree::compute(&cfg, &roots);
     for (site, root) in redundant.iter() {
         assert_ne!(site, root);
@@ -110,9 +115,14 @@ fn call_kills_redundancy() {
     let image = compile(src).expect("compiles");
     let disasm = disassemble(&image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
-    let redundant = RedundantChecks::compute(&disasm, &cfg, image.entry, |_, inst| {
-        inst.memory_access().is_some_and(|m| can_reach_heap(&m))
-    });
+    let roots = unknown_entries(&disasm, &cfg, image.entry);
+    let redundant = RedundantChecks::compute(
+        &disasm,
+        &cfg,
+        &roots,
+        |_, inst| inst.memory_access().is_some_and(|m| can_reach_heap(&m)),
+        HashMap::new(),
+    );
     // The two `a[2]` stores bracket a call; neither may be considered
     // redundant with the other. (The `a[2]` load feeding print may
     // legitimately be redundant w.r.t. the second store.)
@@ -163,7 +173,8 @@ fn random_programs_static_sanity() {
         let image = compile(&src).expect("compiles");
         let disasm = disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
-        let prov = Provenance::compute(&disasm, &cfg, image.entry);
+        let roots = unknown_entries(&disasm, &cfg, image.entry);
+        let prov = Provenance::compute(&disasm, &cfg, &roots, HashMap::new());
         for (addr, inst, _) in disasm.iter() {
             let Some(mem) = inst.memory_access() else {
                 continue;
@@ -209,7 +220,7 @@ fn report_partitions_sites() {
             return 0;
         }";
     let image = compile(src).expect("compiles");
-    let report = analyze_image(&image);
+    let report = analyze_image(&image, AnalyzeOptions::default());
     let total = report.checked()
         + report.eliminated_syntactic()
         + report.eliminated_flow()

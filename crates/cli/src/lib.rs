@@ -513,7 +513,7 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
                     threads: args.threads()?,
                     interproc: args.has("--interproc"),
                 };
-                let report = redfat_analysis::analyze_image_opts(&image, opts);
+                let report = redfat_analysis::analyze_image(&image, opts);
                 out.push_str(&redfat_analysis::report::render(&report));
             }
         }

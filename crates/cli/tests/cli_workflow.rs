@@ -168,6 +168,25 @@ fn analyze_reports_flow_verdicts() {
     assert!(report.contains("elim:flow"), "{report}");
     assert!(report.contains("elim:syntactic"), "{report}");
     assert!(report.contains("redundant("), "{report}");
+
+    // The bzip2 stand-in has sites only call summaries prove non-heap:
+    // `--interproc` must surface them, the default report must not.
+    // (The trailing space matches per-site verdicts, not the
+    // "0 elim:interproc," tally in the summary line.)
+    let bzip2 = dir.join("bzip2.elf");
+    let wl = redfat_workloads::spec::all()
+        .into_iter()
+        .find(|w| w.name == "bzip2")
+        .expect("bzip2 stand-in");
+    std::fs::write(&bzip2, wl.image().to_bytes()).unwrap();
+    let plain = run_cli(&args(&["analyze", bzip2.to_str().unwrap()])).unwrap();
+    assert!(!plain.contains("elim:interproc "), "{plain}");
+    let inter = run_cli(&args(&["analyze", bzip2.to_str().unwrap(), "--interproc"])).unwrap();
+    assert!(
+        inter.contains("(interprocedural summaries applied)"),
+        "{inter}"
+    );
+    assert!(inter.contains("elim:interproc "), "{inter}");
 }
 
 #[test]

@@ -5,9 +5,8 @@ use crate::allowlist::AllowList;
 use crate::checks::{BatchPayload, CheckSpec, PayloadMode};
 use crate::config::{HardenConfig, LowFatPolicy};
 use crate::digest::{image_digest, Digest, Sha256, TOOL_VERSION};
-use redfat_analysis::provenance::CallEffect;
-use redfat_analysis::{can_reach_heap, unknown_entries, Disasm, Provenance, RedundantChecks};
-use redfat_analysis::{disassemble, merge_checks, plan_batches, Batch, Cfg, Liveness, Summaries};
+use redfat_analysis::{disassemble, merge_checks, plan_batches, Batch, Cfg, Disasm, Liveness};
+use redfat_analysis::{unreached_sites, FlowContext, SiteClassifier, SiteVerdict};
 use redfat_elf::Image;
 use redfat_emu::ProfileStats;
 use redfat_parallel::parallel_map;
@@ -87,6 +86,17 @@ pub struct HardenStats {
 }
 
 impl HardenStats {
+    /// Counts one considered site under its verdict.
+    fn count_site(&mut self, verdict: SiteVerdict) {
+        self.sites_considered += 1;
+        match verdict {
+            SiteVerdict::EliminatedSyntactic => self.sites_eliminated += 1,
+            SiteVerdict::EliminatedFlow => self.sites_eliminated_flow += 1,
+            SiteVerdict::EliminatedInterproc => self.sites_eliminated_interproc += 1,
+            SiteVerdict::Checked | SiteVerdict::Redundant { .. } => {}
+        }
+    }
+
     /// `true` if any site was skipped rather than hardened -- the
     /// `DegradedHarden` outcome of the fault-injection taxonomy: the
     /// output image is valid and runs, but covers fewer sites than
@@ -192,28 +202,6 @@ pub fn collect_allowlist(profile: &HashMap<u64, ProfileStats>) -> AllowList {
             .map(|(&site, _)| site),
     )
 }
-
-/// How one memory access is handled by the pipeline, as decided by the
-/// shared classification closure. One value drives both the statistics
-/// accounting and the batch/redundant site filters, so the two can
-/// never disagree about a site.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum SiteClass {
-    /// No memory access, or filtered out by the read/write policy.
-    NotSite,
-    /// Eliminated by the syntactic non-heap rule.
-    ElimSyntactic,
-    /// Additionally eliminated by flow-sensitive provenance.
-    ElimFlow,
-    /// Eliminated only with interprocedural call summaries applied.
-    ElimInterproc,
-    /// Receives instrumentation.
-    Instrument,
-}
-
-/// The precomputed interprocedural tables handed to every shard:
-/// per-call-site effects and per-function pure-write masks.
-type SummaryTables = (HashMap<u64, CallEffect>, HashMap<u64, u16>);
 
 /// The per-component output of the analysis + planning stages:
 /// everything the serial rewrite needs, in a form that merges
@@ -398,26 +386,19 @@ fn instrument_with_cache(
     let disasm = disassemble(image);
     let cfg = Cfg::recover(&disasm, image.entry, &[]);
 
-    // Unknown-entry roots are an image-wide property (the any-indirect
-    // escape hatch scans every instruction): computed once here, then
-    // intersected with each shard's blocks by the scoped analyses.
-    let need_roots = config.elim_flow || (config.elim_redundant && mode == PayloadMode::Harden);
-    let roots = need_roots.then(|| unknown_entries(&disasm, &cfg, image.entry));
-
-    // Interprocedural summaries are a whole-image fixpoint (call edges
-    // cross component boundaries by construction), so they are computed
-    // once here -- serially, for determinism -- and handed to every
-    // shard. With the knob off, shards behave exactly as before.
-    let summaries: Option<SummaryTables> = (config.interproc && config.elim_flow && need_roots)
-        .then(|| {
-            // Safety of the expect: this closure only runs when
-            // `need_roots` held above, which is exactly when `roots`
-            // was populated.
-            #[allow(clippy::expect_used)]
-            let roots = roots.as_ref().expect("roots computed");
-            let sums = Summaries::compute(&disasm, &cfg, roots);
-            (sums.call_effects(), sums.pure_write_masks())
-        });
+    // The flow passes' image-wide inputs -- unknown-entry roots and,
+    // under `interproc`, the whole-image summary fixpoint -- computed
+    // once here, serially, and handed to every shard. Only needed when
+    // a flow pass runs.
+    let need_flow = config.elim_flow || (config.elim_redundant && mode == PayloadMode::Harden);
+    let flow = need_flow.then(|| {
+        FlowContext::new(
+            &disasm,
+            &cfg,
+            image.entry,
+            config.interproc && config.elim_flow,
+        )
+    });
 
     // Shard along weakly-connected CFG components (≈ functions): no
     // edge crosses a shard, so every per-shard analysis result is the
@@ -428,22 +409,21 @@ fn instrument_with_cache(
     // the key's soundness argument), a miss computes and publishes.
     let prefix = cache.map(|_| cache_prefix(image, config, mode));
     let shards: Vec<(Arc<ComponentPlan>, bool)> = parallel_map(cfg.components(), threads, |sub| {
-        let key = prefix
-            .as_ref()
-            .map(|p| component_key(p, &disasm, image, sub, roots.as_ref()));
+        let key = prefix.as_ref().map(|p| {
+            component_key(
+                p,
+                &disasm,
+                image,
+                sub,
+                flow.as_ref().map(FlowContext::roots),
+            )
+        });
         if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
             if let Some(plan) = cache.get(key) {
                 return (plan, true);
             }
         }
-        let plan = Arc::new(instrument_shard(
-            &disasm,
-            sub,
-            config,
-            mode,
-            roots.as_ref(),
-            summaries.as_ref(),
-        ));
+        let plan = Arc::new(instrument_shard(&disasm, sub, config, mode, flow.as_ref()));
         if let (Some(cache), Some(key)) = (cache, key.as_ref()) {
             cache.put(key, plan.clone());
         }
@@ -475,20 +455,10 @@ fn instrument_with_cache(
 
     // Instructions in no recovered block belong to no shard; they are
     // never instrumented (batches only cover block members) but still
-    // count toward the classification statistics. Flow facts are `None`
-    // for them, so flow elimination never applies.
-    for (addr, inst, _) in disasm.iter() {
-        if cfg.block_of(addr).is_some() {
-            continue;
-        }
-        if let Some(mem) = inst.memory_access() {
-            if !config.instrument_reads && !inst.writes_memory() {
-                continue;
-            }
-            stats.sites_considered += 1;
-            if config.elim && !can_reach_heap(&mem) {
-                stats.sites_eliminated += 1;
-            }
+    // count toward the classification statistics.
+    for (_, inst, verdict) in unreached_sites(&disasm, &cfg, config.elim) {
+        if considered(config, inst) {
+            stats.count_site(verdict);
         }
     }
 
@@ -509,6 +479,11 @@ fn instrument_with_cache(
     })
 }
 
+/// Whether the read/write policy considers `inst` a site at all.
+fn considered(config: &HardenConfig, inst: &Inst) -> bool {
+    config.instrument_reads || inst.writes_memory()
+}
+
 /// Runs analysis and batch/payload planning for one CFG component.
 /// `cfg` is a sub-`Cfg` from [`Cfg::components`]; all queries stay
 /// inside its blocks, so the results equal the whole-image pipeline's
@@ -518,64 +493,23 @@ fn instrument_shard(
     cfg: &Cfg,
     config: &HardenConfig,
     mode: PayloadMode,
-    roots: Option<&BTreeSet<u64>>,
-    summaries: Option<&SummaryTables>,
+    flow: Option<&FlowContext>,
 ) -> ComponentPlan {
     let liveness = Liveness::compute(disasm, cfg);
     let mut stats = HardenStats::default();
 
-    // Flow-sensitive provenance (when enabled), with callee effects
-    // applied at direct call sites when interprocedural summaries are
-    // on.
-    let prov = config.elim_flow.then(|| {
-        // Safety of the expect: the caller computes roots exactly when
-        // `elim_flow || (elim_redundant && mode == Harden)` holds, and
-        // this closure runs only under `elim_flow`.
-        #[allow(clippy::expect_used)]
-        let roots = roots.expect("roots precomputed");
-        match summaries {
-            Some((effects, _)) => {
-                Provenance::compute_with_roots_and_effects(disasm, cfg, roots, effects.clone())
-            }
-            None => Provenance::compute_with_roots(disasm, cfg, roots),
-        }
-    });
-    // The plain (summary-free) provenance, used only to attribute an
-    // elimination to the interprocedural tier in the statistics. The
-    // summary-augmented analysis eliminates a superset of the plain
-    // one's sites, so the filter itself only consults `prov`.
-    let prov_base = (config.elim_flow && summaries.is_some()).then(|| {
-        // Safety of the expect: same `elim_flow` guard as `prov` above.
-        #[allow(clippy::expect_used)]
-        let roots = roots.expect("roots precomputed");
-        Provenance::compute_with_roots(disasm, cfg, roots)
-    });
-
-    // The shared classification: read/write policy + (optionally)
-    // syntactic and flow-sensitive check elimination.
+    // The shared classification (syntactic and, when enabled,
+    // flow-sensitive check elimination) under the read/write policy.
+    let classifier =
+        SiteClassifier::new(disasm, cfg, config.elim, flow.filter(|_| config.elim_flow));
     let classify = |addr: u64, inst: &Inst| {
-        let Some(mem) = inst.memory_access() else {
-            return SiteClass::NotSite;
-        };
-        if !config.instrument_reads && !inst.writes_memory() {
-            return SiteClass::NotSite;
+        if considered(config, inst) {
+            classifier.classify(addr, inst)
+        } else {
+            None
         }
-        if config.elim && !can_reach_heap(&mem) {
-            return SiteClass::ElimSyntactic;
-        }
-        if let Some(p) = &prov {
-            if !p.site_can_reach_heap(disasm, cfg, addr, inst) {
-                return match &prov_base {
-                    Some(base) if base.site_can_reach_heap(disasm, cfg, addr, inst) => {
-                        SiteClass::ElimInterproc
-                    }
-                    _ => SiteClass::ElimFlow,
-                };
-            }
-        }
-        SiteClass::Instrument
     };
-    let filter = |addr: u64, inst: &Inst| classify(addr, inst) == SiteClass::Instrument;
+    let filter = |addr: u64, inst: &Inst| classify(addr, inst) == Some(SiteVerdict::Checked);
 
     // Which sites the LowFat policy grants a *full* check.
     let allowed = |site: u64| match (&config.lowfat, mode) {
@@ -589,22 +523,9 @@ fn instrument_shard(
     // identical full check are downgraded to redzone-only. The gen
     // predicate must be exactly "this site carries a full check", i.e.
     // the pipeline filter composed with the policy.
-    let redundant = if config.elim_redundant && mode == PayloadMode::Harden {
-        let pure_masks = summaries.map(|(_, m)| m.clone()).unwrap_or_default();
-        // Safety of the expect: this branch is the other disjunct of
-        // the caller's roots-computation condition.
-        #[allow(clippy::expect_used)]
-        let roots = roots.expect("roots precomputed");
-        Some(RedundantChecks::compute_with_roots_and_masks(
-            disasm,
-            cfg,
-            roots,
-            |a, i| filter(a, i) && allowed(a),
-            pure_masks,
-        ))
-    } else {
-        None
-    };
+    let redundant = flow
+        .filter(|_| config.elim_redundant && mode == PayloadMode::Harden)
+        .map(|flow| flow.redundant_checks(disasm, cfg, |a, i| filter(a, i) && allowed(a)));
     // A site may be downgraded only when its root keeps its full check
     // (roots are non-redundant by construction, but an allow-list could
     // still withhold the root's LowFat component).
@@ -625,14 +546,9 @@ fn instrument_shard(
                 stats.sites_skipped += 1;
                 continue;
             };
-            match classify(addr, inst) {
-                SiteClass::NotSite => continue,
-                SiteClass::ElimSyntactic => stats.sites_eliminated += 1,
-                SiteClass::ElimFlow => stats.sites_eliminated_flow += 1,
-                SiteClass::ElimInterproc => stats.sites_eliminated_interproc += 1,
-                SiteClass::Instrument => {}
+            if let Some(verdict) = classify(addr, inst) {
+                stats.count_site(verdict);
             }
-            stats.sites_considered += 1;
         }
     }
 

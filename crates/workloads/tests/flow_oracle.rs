@@ -12,8 +12,11 @@
 //!    fully optimized configuration (with redundant-check downgrading)
 //!    must reach exactly the same detection verdicts as "+merge" on the
 //!    Table 2 attack/benign suites.
+//! 4. **Analyze/harden agreement**: `redfat analyze` and `redfat harden`
+//!    classify the same sites the same way, so the oracle above audits
+//!    the eliminations the hardened binary actually relies on.
 
-use redfat_analysis::{analyze_image, analyze_image_opts, AnalyzeOptions, SiteVerdict};
+use redfat_analysis::{analyze_image, AnalyzeOptions, SiteVerdict};
 use redfat_core::{harden, run, HardenConfig, LowFatPolicy, RunSpec};
 use redfat_emu::{
     Cpu, Emu, ErrorMode, HostRuntime, MemoryError, RunResult, Runtime, SyscallOutcome,
@@ -67,7 +70,7 @@ impl Runtime for OracleRuntime {
 fn eliminated_sites_never_touch_the_heap() {
     for wl in spec::all() {
         let image = wl.image();
-        let report = analyze_image(&image);
+        let report = analyze_image(&image, AnalyzeOptions::default());
         let eliminated_addrs: BTreeSet<u64> = report
             .sites
             .iter()
@@ -121,7 +124,7 @@ fn eliminated_sites_never_touch_the_heap() {
 fn interproc_eliminated_sites_never_touch_the_heap() {
     for wl in spec::all() {
         let image = wl.image();
-        let report = analyze_image_opts(
+        let report = analyze_image(
             &image,
             AnalyzeOptions {
                 threads: 0,
@@ -169,6 +172,48 @@ fn interproc_eliminated_sites_never_touch_the_heap() {
                 emu.runtime.violations.len(),
                 emu.runtime.violations[0].0,
                 emu.runtime.violations[0].1
+            );
+        }
+    }
+}
+
+/// `redfat analyze` and `redfat harden` reach their verdicts through the
+/// same classifier: on every stand-in, with and without interprocedural
+/// summaries, both see the same sites and attribute the same number of
+/// eliminations to each tier. (Redundant downgrades are not compared:
+/// the report counts them per site, the pipeline per merged check.)
+#[test]
+fn analyze_and_harden_agree_on_eliminations() {
+    for wl in spec::all() {
+        let image = wl.image();
+        for interproc in [false, true] {
+            let config = if interproc {
+                HardenConfig::with_interproc(LowFatPolicy::All)
+            } else {
+                HardenConfig::with_redundant(LowFatPolicy::All)
+            };
+            let stats = harden(&image, &config).unwrap().stats;
+            let opts = AnalyzeOptions {
+                threads: 0,
+                interproc,
+            };
+            let report = analyze_image(&image, opts);
+            let what = format!("{} (interproc: {interproc})", wl.name);
+            assert_eq!(report.sites.len(), stats.sites_considered, "{what}");
+            assert_eq!(
+                report.eliminated_syntactic(),
+                stats.sites_eliminated,
+                "{what}"
+            );
+            assert_eq!(
+                report.eliminated_flow(),
+                stats.sites_eliminated_flow,
+                "{what}"
+            );
+            assert_eq!(
+                report.eliminated_interproc(),
+                stats.sites_eliminated_interproc,
+                "{what}"
             );
         }
     }
