@@ -75,41 +75,44 @@ impl Cfg {
     /// Components are ordered by their lowest block address, and every
     /// block appears in exactly one component.
     pub fn components(&self) -> Vec<Cfg> {
-        // Undirected adjacency: successor edges plus their reverses.
-        let mut adj: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        for (&start, block) in &self.blocks {
-            adj.entry(start).or_default();
-            for &s in block.succs.iter().filter(|s| self.blocks.contains_key(s)) {
-                adj.entry(start).or_default().push(s);
-                adj.entry(s).or_default().push(start);
+        let starts: Vec<u64> = self.blocks.keys().copied().collect();
+        let blocks: Vec<&Block> = self.blocks.values().collect();
+        // Union-find over block positions; the ascending walk below meets
+        // each component first at its lowest block, which orders them.
+        let mut parent: Vec<usize> = (0..starts.len()).collect();
+        fn find(parent: &mut [usize], mut x: usize) -> usize {
+            while parent[x] != x {
+                parent[x] = parent[parent[x]];
+                x = parent[x];
             }
+            x
         }
-        let mut seen: BTreeSet<u64> = BTreeSet::new();
-        let mut out = Vec::new();
-        for &start in self.blocks.keys() {
-            if !seen.insert(start) {
-                continue;
-            }
-            let mut members = vec![start];
-            let mut stack = vec![start];
-            while let Some(b) = stack.pop() {
-                for &n in &adj[&b] {
-                    if seen.insert(n) {
-                        members.push(n);
-                        stack.push(n);
-                    }
+        for (i, block) in blocks.iter().enumerate() {
+            for &s in &block.succs {
+                if let Ok(j) = starts.binary_search(&s) {
+                    let (a, b) = (find(&mut parent, i), find(&mut parent, j));
+                    parent[a] = b;
                 }
             }
-            out.push(Cfg {
-                blocks: members
-                    .iter()
-                    .map(|m| (*m, self.blocks[m].clone()))
-                    .collect(),
+        }
+        let mut slot = vec![usize::MAX; starts.len()];
+        let mut members: Vec<Vec<usize>> = Vec::new();
+        for i in 0..starts.len() {
+            let root = find(&mut parent, i);
+            if slot[root] == usize::MAX {
+                slot[root] = members.len();
+                members.push(Vec::new());
+            }
+            members[slot[root]].push(i);
+        }
+        members
+            .into_iter()
+            .map(|m| Cfg {
+                blocks: m.iter().map(|&i| (starts[i], blocks[i].clone())).collect(),
                 leaders: Arc::clone(&self.leaders),
                 func_entries: Arc::clone(&self.func_entries),
-            });
-        }
-        out
+            })
+            .collect()
     }
 
     /// Recovers the CFG from a disassembly.
@@ -118,18 +121,16 @@ impl Cfg {
     /// means (e.g. scanning data for code pointers); conservatism only
     /// ever *adds* leaders.
     pub fn recover(disasm: &Disasm, entry: u64, extra_leaders: &[u64]) -> Cfg {
-        let mut leaders: BTreeSet<u64> = BTreeSet::new();
-        leaders.insert(entry);
-        leaders.extend(extra_leaders.iter().copied());
-        let mut func_entries: BTreeSet<u64> = BTreeSet::new();
-        func_entries.insert(entry);
+        let mut leaders: Vec<u64> = vec![entry];
+        leaders.extend_from_slice(extra_leaders);
+        let mut func_entries: Vec<u64> = vec![entry];
 
         // Pass 1: collect leaders and function entries.
         for (addr, inst, len) in disasm.iter() {
             if let Some(t) = inst.branch_target() {
-                leaders.insert(t);
+                leaders.push(t);
                 if inst.op == Op::Call {
-                    func_entries.insert(t);
+                    func_entries.push(t);
                 }
             }
             let next = addr + len as u64;
@@ -147,7 +148,7 @@ impl Cfg {
                 | Op::Int3
                     if disasm.at(next).is_some() =>
                 {
-                    leaders.insert(next);
+                    leaders.push(next);
                 }
                 _ => {}
             }
@@ -156,28 +157,40 @@ impl Cfg {
         // be reached in ways we cannot see.
         for &(_, end) in &disasm.unknown {
             if disasm.at(end).is_some() {
-                leaders.insert(end);
+                leaders.push(end);
+            }
+        }
+        leaders.sort_unstable();
+        leaders.dedup();
+        func_entries.sort_unstable();
+        func_entries.dedup();
+        // Leader marks by instruction index, so the slicing walk tests
+        // each member with one load.
+        let mut is_leader = vec![false; disasm.len()];
+        for &l in &leaders {
+            if let Some(i) = disasm.index_of(l) {
+                is_leader[i] = true;
             }
         }
 
-        // Pass 2: slice into blocks.
-        let mut blocks = BTreeMap::new();
+        // Pass 2: slice into blocks, walking instruction indices.
+        let mut blocks = Vec::with_capacity(leaders.len());
         for &leader in &leaders {
-            if disasm.at(leader).is_none() {
+            let Some(mut i) = disasm.index_of(leader) else {
                 continue;
-            }
+            };
             let mut insts = Vec::new();
-            let mut addr = leader;
             let mut succs = Vec::new();
             let mut opaque = false;
             loop {
-                let Some((inst, len)) = disasm.at(addr) else {
+                let Some((addr, inst, len)) = disasm.get(i) else {
                     // Fell into unknown bytes.
                     opaque = true;
                     break;
                 };
                 insts.push(addr);
-                let next = addr + *len as u64;
+                let next = addr + len as u64;
+                let next_i = disasm.index_of(next);
                 match inst.op {
                     Op::Jmp => {
                         match inst.branch_target() {
@@ -186,7 +199,7 @@ impl Cfg {
                             // the callee's `ret` returns to *our* caller.
                             // No intra-function successor edge; the exit is
                             // opaque exactly like a `ret`.
-                            Some(t) if func_entries.contains(&t) && t != leader => {
+                            Some(t) if func_entries.binary_search(&t).is_ok() && t != leader => {
                                 opaque = true;
                             }
                             Some(t) => succs.push(t),
@@ -198,7 +211,7 @@ impl Cfg {
                         if let Some(t) = inst.branch_target() {
                             succs.push(t);
                         }
-                        if disasm.at(next).is_some() {
+                        if next_i.is_some() {
                             succs.push(next);
                         }
                         break;
@@ -211,28 +224,34 @@ impl Cfg {
                         // The callee is opaque; treat the return site as
                         // the fall-through successor but mark the exit
                         // opaque so liveness stays conservative.
-                        if disasm.at(next).is_some() {
+                        if next_i.is_some() {
                             succs.push(next);
                         }
                         opaque = true;
                         break;
                     }
                     _ => {
-                        if leaders.contains(&next) || insts.len() >= MAX_BLOCK {
-                            if disasm.at(next).is_some() {
+                        let next_is_leader = match next_i {
+                            Some(j) => is_leader[j],
+                            None => leaders.binary_search(&next).is_ok(),
+                        };
+                        if next_is_leader || insts.len() >= MAX_BLOCK {
+                            if next_i.is_some() {
                                 succs.push(next);
                             }
                             break;
                         }
-                        if disasm.at(next).is_none() {
-                            opaque = true;
-                            break;
+                        match next_i {
+                            Some(j) => i = j,
+                            None => {
+                                opaque = true;
+                                break;
+                            }
                         }
-                        addr = next;
                     }
                 }
             }
-            blocks.insert(
+            blocks.push((
                 leader,
                 Block {
                     start: leader,
@@ -240,13 +259,14 @@ impl Cfg {
                     succs,
                     opaque_exit: opaque,
                 },
-            );
+            ));
         }
 
+        // Both inputs are sorted, so the collections are bulk-built.
         Cfg {
-            blocks,
-            leaders: Arc::new(leaders),
-            func_entries: Arc::new(func_entries),
+            blocks: blocks.into_iter().collect(),
+            leaders: Arc::new(leaders.into_iter().collect()),
+            func_entries: Arc::new(func_entries.into_iter().collect()),
         }
     }
 }

@@ -207,8 +207,17 @@ pub fn unreached_sites<'a>(
     syntactic: bool,
 ) -> impl Iterator<Item = (u64, &'a Inst, SiteVerdict)> + 'a {
     let classifier = SiteClassifier::new(disasm, cfg, syntactic, None);
+    // `Cfg::block_of` as one merge walk: instructions ascend, so the last
+    // block starting at or below each one only moves forward.
+    let mut blocks = cfg.blocks.values().peekable();
+    let mut last = None;
     disasm
         .iter()
-        .filter(move |&(addr, _, _)| cfg.block_of(addr).is_none())
+        .filter(move |&(addr, _, _)| {
+            while let Some(b) = blocks.next_if(|b| b.start <= addr) {
+                last = Some(b);
+            }
+            last.is_none_or(|b| b.insts.binary_search(&addr).is_err())
+        })
         .filter_map(move |(addr, inst, _)| Some((addr, inst, classifier.classify(addr, inst)?)))
 }

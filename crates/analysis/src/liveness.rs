@@ -10,9 +10,8 @@
 //! Conservatism: any opaque exit (indirect control flow, `ret`, calls,
 //! unknown bytes) is assumed to read every register and the flags.
 
-use crate::cfg::Cfg;
-use crate::disasm::Disasm;
-use std::collections::HashMap;
+use crate::cfg::{Block, Cfg};
+use crate::disasm::{sort_keep_last, Disasm};
 
 /// Bitmask over the 16 GPRs, plus a flags bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -39,76 +38,169 @@ impl LiveSet {
     }
 }
 
+/// A backward transfer function of the form `live ↦ (live ∖ kill) ∪ gen`.
+/// One instruction's transfer has this form, and so does the
+/// composition of any run of them, which is what makes a whole block
+/// summarizable by one `Transfer`.
+#[derive(Debug, Clone, Copy)]
+struct Transfer {
+    kill: LiveSet,
+    gen: LiveSet,
+}
+
+impl Transfer {
+    /// The identity (an empty run).
+    const ID: Transfer = Transfer {
+        kill: LiveSet::NONE,
+        gen: LiveSet::NONE,
+    };
+
+    /// Writes kill first, then reads add (standard backward transfer).
+    fn of(inst: &redfat_x86::Inst) -> Transfer {
+        let mask = |regs: Vec<redfat_x86::Reg>| regs.iter().fold(0u16, |m, r| m | 1 << r.code());
+        Transfer {
+            kill: LiveSet {
+                regs: mask(inst.regs_written()),
+                flags: inst.writes_flags(),
+            },
+            gen: LiveSet {
+                regs: mask(inst.regs_read()),
+                flags: inst.reads_flags(),
+            },
+        }
+    }
+
+    fn apply(self, after: LiveSet) -> LiveSet {
+        LiveSet {
+            regs: (after.regs & !self.kill.regs) | self.gen.regs,
+            flags: (after.flags && !self.kill.flags) || self.gen.flags,
+        }
+    }
+
+    /// `self` applied after `later` has been: the transfer of the run
+    /// `self`'s instructions followed by `later`'s.
+    fn then(self, later: Transfer) -> Transfer {
+        Transfer {
+            kill: self.kill.union(later.kill),
+            gen: self.apply(later.gen),
+        }
+    }
+}
+
 /// Per-site liveness results.
 pub struct Liveness {
-    /// Live-before set per instruction address.
-    live_before: HashMap<u64, (u16, bool)>,
+    /// Live-before set of every block member, ascending by address.
+    live_before: Vec<(u64, LiveSet)>,
 }
 
 impl Liveness {
     /// Computes liveness over a recovered CFG.
+    ///
+    /// Each block's transfer is composed once into a summary; the
+    /// fixpoint then applies one summary per block and round instead of
+    /// re-running every member's transfer. Round-robin in reverse address
+    /// order, a successor not yet computed counts as everything live, and
+    /// at most 64 rounds: the iteration, and so the fixpoint it reaches,
+    /// is exactly the per-instruction one's.
     pub fn compute(disasm: &Disasm, cfg: &Cfg) -> Liveness {
-        // Iterate blocks to a fixed point (the graph is small).
-        let mut live_in: HashMap<u64, LiveSet> = HashMap::new();
+        let blocks: Vec<&Block> = cfg.blocks.values().collect();
+        let starts: Vec<u64> = cfg.blocks.keys().copied().collect();
+        // Member transfers, block after block (`first[b]..first[b + 1]`),
+        // and each block's composed summary.
+        let mut steps: Vec<Transfer> = Vec::new();
+        let mut first: Vec<usize> = Vec::with_capacity(blocks.len() + 1);
+        let mut summary: Vec<Transfer> = Vec::with_capacity(blocks.len());
+        for block in &blocks {
+            let at = steps.len();
+            first.push(at);
+            steps.extend(block.insts.iter().map(|&addr| {
+                let (inst, _) = disasm.at(addr).expect("block member decoded");
+                Transfer::of(inst)
+            }));
+            summary.push(
+                steps[at..]
+                    .iter()
+                    .rev()
+                    .fold(Transfer::ID, |s, t| t.then(s)),
+            );
+        }
+        first.push(steps.len());
+        // Successor positions; `None` for a target that starts no block
+        // here, which therefore never gets a computed entry.
+        let succs: Vec<Vec<Option<usize>>> = blocks
+            .iter()
+            .map(|b| {
+                b.succs
+                    .iter()
+                    .map(|s| starts.binary_search(s).ok())
+                    .collect()
+            })
+            .collect();
+
+        let mut live_in: Vec<Option<LiveSet>> = vec![None; blocks.len()];
         let mut changed = true;
         let mut rounds = 0usize;
         while changed && rounds < 64 {
             changed = false;
             rounds += 1;
-            for (&start, block) in cfg.blocks.iter().rev() {
-                let mut live = if block.opaque_exit {
-                    LiveSet::ALL
+            for b in (0..blocks.len()).rev() {
+                let known: Option<LiveSet> = if blocks[b].opaque_exit {
+                    None
                 } else {
-                    block
-                        .succs
+                    succs[b]
                         .iter()
-                        .filter_map(|s| live_in.get(s).copied())
-                        .fold(LiveSet::NONE, LiveSet::union)
+                        .map(|s| s.and_then(|s| live_in[s]))
+                        .try_fold(LiveSet::NONE, |acc, l| Some(acc.union(l?)))
                 };
-                // Successors not yet computed: be conservative.
-                if !block.opaque_exit && block.succs.iter().any(|s| !live_in.contains_key(s)) {
-                    live = live.union(LiveSet::ALL);
-                }
-                for &addr in block.insts.iter().rev() {
-                    let (inst, _) = disasm.at(addr).expect("block member decoded");
-                    live = transfer(inst, live);
-                }
-                if live_in.get(&start) != Some(&live) {
-                    live_in.insert(start, live);
+                // Opaque exit or a successor not yet computed: be
+                // conservative.
+                let live = summary[b].apply(known.unwrap_or(LiveSet::ALL));
+                if live_in[b] != Some(live) {
+                    live_in[b] = Some(live);
                     changed = true;
                 }
             }
         }
 
-        // Second pass: record live-before per instruction.
-        let mut live_before = HashMap::new();
-        for block in cfg.blocks.values() {
+        // Second pass: record live-before per member. Every block has a
+        // computed entry by now; a successor that starts no block adds
+        // nothing.
+        let mut live_before = Vec::with_capacity(steps.len());
+        for (b, block) in blocks.iter().enumerate() {
             let mut live = if block.opaque_exit {
                 LiveSet::ALL
             } else {
-                block
-                    .succs
+                succs[b]
                     .iter()
-                    .filter_map(|s| live_in.get(s).copied())
+                    .filter_map(|s| s.and_then(|s| live_in[s]))
                     .fold(LiveSet::NONE, LiveSet::union)
             };
-            for &addr in block.insts.iter().rev() {
-                let (inst, _) = disasm.at(addr).expect("block member decoded");
-                live = transfer(inst, live);
-                live_before.insert(addr, (live.regs, live.flags));
+            let at = live_before.len();
+            for (&addr, step) in block.insts.iter().zip(&steps[first[b]..first[b + 1]]).rev() {
+                live = step.apply(live);
+                live_before.push((addr, live));
             }
+            live_before[at..].reverse();
         }
+        // Members ascend within a block and blocks are disjoint unless
+        // executable segments overlap; should two blocks share a member,
+        // the later block's fact wins.
+        sort_keep_last(&mut live_before);
         Liveness { live_before }
+    }
+
+    fn live_at(&self, addr: u64) -> Option<LiveSet> {
+        let i = self
+            .live_before
+            .binary_search_by_key(&addr, |&(a, _)| a)
+            .ok()?;
+        Some(self.live_before[i].1)
     }
 
     /// Registers that are dead immediately before the instruction at
     /// `addr` (safe to clobber by code inserted before it).
     pub fn dead_regs_before(&self, addr: u64) -> Vec<redfat_x86::Reg> {
-        let (live, _) = self
-            .live_before
-            .get(&addr)
-            .copied()
-            .unwrap_or((u16::MAX, true));
+        let live = self.live_at(addr).unwrap_or(LiveSet::ALL).regs;
         (0u8..16)
             .filter(|&c| live & (1 << c) == 0)
             .map(redfat_x86::Reg::from_code)
@@ -118,10 +210,7 @@ impl Liveness {
     /// Returns `true` if the flags are dead immediately before `addr`
     /// (code inserted before it may trash them without saving).
     pub fn flags_dead_before(&self, addr: u64) -> bool {
-        match self.live_before.get(&addr) {
-            Some((_, flags_live)) => !*flags_live,
-            None => false,
-        }
+        self.live_at(addr).is_some_and(|l| !l.flags)
     }
 }
 
@@ -200,25 +289,6 @@ pub fn flags_live_after_run(insts: &[redfat_x86::Inst]) -> Vec<bool> {
         live = may_exit_run(inst) || inst.reads_flags() || (live && !inst.writes_flags());
     }
     out
-}
-
-fn transfer(inst: &redfat_x86::Inst, after: LiveSet) -> LiveSet {
-    let mut regs = after.regs;
-    let mut flags = after.flags;
-    // Kill writes first, then add reads (standard backward transfer).
-    for r in inst.regs_written() {
-        regs &= !(1u16 << r.code());
-    }
-    if inst.writes_flags() {
-        flags = false;
-    }
-    for r in inst.regs_read() {
-        regs |= 1u16 << r.code();
-    }
-    if inst.reads_flags() {
-        flags = true;
-    }
-    LiveSet { regs, flags }
 }
 
 #[cfg(test)]

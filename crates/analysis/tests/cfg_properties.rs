@@ -1,11 +1,16 @@
 //! Randomized tests for CFG recovery over generated compiled programs:
 //! blocks partition the decoded instructions, every direct branch target
-//! is a leader, and batching never groups across blocks. Driven by a
+//! is a leader, batching never groups across blocks, and the unreached
+//! sites are exactly the sites outside every block. Driven by a
 //! deterministic seeded generator.
 
-use redfat_analysis::{can_reach_heap, disassemble, plan_batches, Cfg};
+use redfat_analysis::{
+    can_reach_heap, disassemble, plan_batches, unreached_sites, Cfg, SiteClassifier, MAX_BLOCK,
+};
+use redfat_elf::{Image, ImageKind, SegFlags, Segment};
 use redfat_minic::compile;
 use redfat_vm::Rng64;
+use redfat_x86::{Asm, Mem, Reg, Width};
 use std::collections::HashSet;
 
 fn random_program(r: &mut Rng64) -> String {
@@ -110,6 +115,45 @@ fn batches_stay_within_blocks() {
             // Members are ordered and start at the anchor.
             assert_eq!(b.members[0], b.anchor);
             assert!(b.members.windows(2).all(|w| w[0] < w[1]));
+        }
+    }
+}
+
+#[test]
+fn unreached_sites_are_the_sites_outside_every_block() {
+    // A straight run longer than `MAX_BLOCK`: the block is cut, and the
+    // rest of the run starts no block.
+    let mut a = Asm::new(0x40_0000);
+    for _ in 0..MAX_BLOCK + 8 {
+        a.mov_rm(Width::W64, Reg::Rax, Mem::base(Reg::Rbx));
+    }
+    a.ret();
+    let p = a.finish().expect("assembles");
+    let tail = Image {
+        kind: ImageKind::Exec,
+        entry: p.base,
+        segments: vec![Segment::new(p.base, SegFlags::RX, p.bytes)],
+        symbols: vec![],
+    };
+    let mut r = Rng64::new(0xCF6_0004);
+    let programs = (0..32).map(|_| compile(&random_program(&mut r)).expect("compiles"));
+    for (case, image) in std::iter::once(tail).chain(programs).enumerate() {
+        let d = disassemble(&image);
+        let cfg = Cfg::recover(&d, image.entry, &[]);
+        let classifier = SiteClassifier::new(&d, &cfg, false, None);
+        let want: Vec<u64> = d
+            .iter()
+            .filter(|&(addr, inst, _)| {
+                cfg.block_of(addr).is_none() && classifier.classify(addr, inst).is_some()
+            })
+            .map(|(addr, _, _)| addr)
+            .collect();
+        let got: Vec<u64> = unreached_sites(&d, &cfg, false)
+            .map(|(addr, _, _)| addr)
+            .collect();
+        assert_eq!(got, want, "case {case}");
+        if case == 0 {
+            assert_eq!(got.len(), 8, "the loads past the cut are unreached");
         }
     }
 }

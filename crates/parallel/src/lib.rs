@@ -42,48 +42,47 @@ fn catch_item<T, U>(i: usize, item: &T, f: impl Fn(&T) -> U) -> Result<U, String
 /// item's index and panic message if its closure panicked; a poisoned
 /// item never prevents the other items from completing and reporting.
 ///
-/// With `threads <= 1` no worker thread is spawned at all: the items
-/// run serially on the *calling* thread (same `ThreadId`), with the
-/// same per-item `catch_unwind` isolation and error format. This keeps
-/// `--threads 1` a true baseline -- no scope/channel setup, no
-/// thread-spawn cost, and thread-local state on the caller stays
-/// visible to the closures.
+/// The calling thread is one of the `threads` workers: it spawns only
+/// `min(threads, items.len()) - 1` helpers and takes items alongside
+/// them. With `threads <= 1` or at most one item nothing is spawned at
+/// all: the items run serially on the *calling* thread (same
+/// `ThreadId`), with the same per-item `catch_unwind` isolation and
+/// error format. This keeps `--threads 1` a true baseline -- no scope
+/// setup, no thread-spawn cost, and thread-local state on the caller
+/// stays visible to the closures.
 pub fn try_parallel_map<T, U, F>(items: Vec<T>, threads: usize, f: F) -> Vec<Result<U, String>>
 where
     T: Send + Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    if threads <= 1 {
+    let n = items.len();
+    let workers = threads.min(n);
+    if workers <= 1 {
         return items
             .iter()
             .enumerate()
             .map(|(i, item)| catch_item(i, item, &f))
             .collect();
     }
-    let n = items.len();
     let next = std::sync::atomic::AtomicUsize::new(0);
-    let (tx, rx) = std::sync::mpsc::channel::<(usize, Result<U, String>)>();
-    let items_ref = &items;
-    let f_ref = &f;
-    let next_ref = &next;
-    std::thread::scope(|scope| {
-        for _ in 0..threads.max(1) {
-            let tx = tx.clone();
-            scope.spawn(move || loop {
-                let i = next_ref.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let out = catch_item(i, &items_ref[i], f_ref);
-                if tx.send((i, out)).is_err() {
-                    break;
-                }
-            });
+    let work = || {
+        let mut done = Vec::new();
+        loop {
+            let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            if i >= n {
+                break done;
+            }
+            done.push((i, catch_item(i, &items[i], &f)));
         }
-        drop(tx);
+    };
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
         let mut results: Vec<Option<Result<U, String>>> = (0..n).map(|_| None).collect();
-        for (i, out) in rx {
+        let helper_done = helpers
+            .into_iter()
+            .flat_map(|h| h.join().unwrap_or_default());
+        for (i, out) in work().into_iter().chain(helper_done) {
             results[i] = Some(out);
         }
         results
@@ -419,6 +418,24 @@ mod tests {
         let err = results[2].as_ref().expect_err("item 2 must fail");
         assert_eq!(err, "item 2 panicked: boom 2");
         assert_eq!(results[3], Ok(3), "later items still run after a panic");
+    }
+
+    #[test]
+    fn caller_works_beside_its_helpers() {
+        let caller = std::thread::current().id();
+        // One item never spawns, whatever the thread count.
+        let results = try_parallel_map(vec![7u32], 8, |_| std::thread::current().id());
+        assert_eq!(results[0], Ok(caller));
+        // Both items block until the other runs, so they run on two
+        // threads at once: the caller and its single helper.
+        let barrier = std::sync::Barrier::new(2);
+        let results = try_parallel_map(vec![0u32, 1], 2, |_| {
+            barrier.wait();
+            std::thread::current().id()
+        });
+        let ids: Vec<_> = results.into_iter().map(|r| r.expect("no panics")).collect();
+        assert_ne!(ids[0], ids[1]);
+        assert!(ids.contains(&caller), "the caller takes an item");
     }
 
     #[test]
