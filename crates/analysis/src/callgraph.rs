@@ -175,16 +175,6 @@ impl CallGraph {
         }
     }
 
-    /// Entry of the function whose body contains the block starting at
-    /// `block_start`; when bodies overlap, the lowest owning entry. For
-    /// site *attribution* prefer [`owner_of_addr`](Self::owner_of_addr).
-    pub fn owner_of_block(&self, block_start: u64) -> Option<u64> {
-        self.body
-            .iter()
-            .find(|(_, blocks)| blocks.contains(&block_start))
-            .map(|(&e, _)| e)
-    }
-
     /// Attributes an instruction address to the nearest function entry
     /// at or below it — the conventional symbolization rule, cheap and
     /// total even for addresses outside every body.

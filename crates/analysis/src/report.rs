@@ -81,8 +81,8 @@ impl AnalysisReport {
 /// Knobs for [`analyze_image`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct AnalyzeOptions {
-    /// Worker threads for per-component sharding; `0` analyzes the
-    /// whole image on the calling thread.
+    /// Worker threads for per-component sharding; `0` and `1` both run
+    /// the shards on the calling thread.
     pub threads: usize,
     /// Apply interprocedural function summaries at call sites.
     pub interproc: bool,
@@ -93,8 +93,8 @@ pub struct AnalyzeOptions {
 /// every memory-access site the way the instrumentation pipeline would
 /// under its most aggressive configuration (`instrument_reads = true`).
 ///
-/// With `threads > 0` the per-component analyses are sharded across
-/// worker threads. Each component carries the full image-wide
+/// The per-component analyses are sharded across `threads` workers
+/// (the calling thread alone at `0` or `1`). Each component carries the full image-wide
 /// unknown-entry root set, so per-shard provenance and redundant-check
 /// results are exactly the whole-image results restricted to that
 /// component; the merged report is identical to the serial one at any
@@ -107,8 +107,8 @@ pub fn analyze_image(image: &Image, opts: AnalyzeOptions) -> AnalysisReport {
     analyze_with(&disasm, &cfg, image.entry, opts)
 }
 
-/// [`analyze_image`] over pre-computed disassembly and CFG, unsharded
-/// and intraprocedural.
+/// [`analyze_image`] over pre-computed disassembly and CFG, on the
+/// calling thread and intraprocedural.
 pub fn analyze(disasm: &Disasm, cfg: &Cfg, entry: u64) -> AnalysisReport {
     analyze_with(disasm, cfg, entry, AnalyzeOptions::default())
 }
@@ -155,14 +155,11 @@ fn analyze_with(disasm: &Disasm, cfg: &Cfg, entry: u64, opts: AnalyzeOptions) ->
         sites
     };
 
-    let mut sites: Vec<SiteReport> = if opts.threads == 0 {
-        analyze_shard(cfg)
-    } else {
+    let mut sites: Vec<SiteReport> =
         redfat_parallel::parallel_map(cfg.components(), opts.threads, |sub| analyze_shard(sub))
             .into_iter()
             .flatten()
-            .collect()
-    };
+            .collect();
     sites.extend(
         unreached_sites(disasm, cfg, true)
             .map(|(addr, inst, v)| site_report(addr, inst, None, v, "unreached".to_string())),

@@ -18,13 +18,14 @@
 //! returns the text it would print.
 
 use redfat_core::{
-    collect_allowlist, harden_threaded, instrument_profile, run, AllowList, HardenConfig,
+    collect_allowlist, harden, harden_threaded, instrument_profile, run, AllowList, HardenConfig,
     LowFatPolicy, RunSpec,
 };
 use redfat_elf::Image;
 use redfat_emu::{AllocPolicyKind, Emu, ErrorMode, ExecBackend, RunResult};
 use redfat_memcheck::MemcheckRuntime;
 use redfat_parallel::resolve_threads;
+use redfat_workloads::Workload;
 use std::fmt::Write as _;
 
 /// A CLI failure: message for stderr, suggested exit code.
@@ -81,7 +82,8 @@ commands:
                                        (the invariant campaign always covers
                                        every allocator policy; --alloc-policy
                                        picks the heap backend for the lockstep
-                                       runs);
+                                       runs); every workload is hardened with
+                                       the default and the --interproc config;
                                        --fast also audits the trace-linked and
                                        fast execution tiers against the step
                                        interpreter on the baseline, hardened
@@ -114,8 +116,6 @@ harden options:
   --no-flow                 disable flow-sensitive provenance elimination
   --no-redundant            disable dominator-based redundant-check elimination
   --interproc               enable interprocedural call summaries (+interproc)
-  --alloc-policy <kind>     allocator backend the artifact is keyed to
-                            (lowfat | rand-lowfat; checks are backend-agnostic)
   --strip                   strip symbols before hardening";
 
 struct Args {
@@ -294,7 +294,6 @@ fn harden_config(args: &Args) -> Result<HardenConfig, CliError> {
         }
         cfg.interproc = true;
     }
-    cfg.alloc_policy = args.alloc_policy()?;
     Ok(cfg)
 }
 
@@ -551,7 +550,12 @@ pub fn run_cli(argv: &[String]) -> Result<String, CliError> {
             if args.has("--faults") {
                 run_faults(quick, args.threads()?, &mut out)?;
             } else {
-                run_selftest(quick, fast, args.alloc_policy()?, args.threads()?, &mut out)?;
+                let mode = SelftestMode {
+                    quick,
+                    fast,
+                    policy: args.alloc_policy()?,
+                };
+                run_selftest(mode, args.threads()?, &mut out)?;
             }
         }
         "serve" => {
@@ -692,33 +696,77 @@ fn run_faults(quick: bool, threads: usize, out: &mut String) -> Result<(), CliEr
     }
 }
 
+/// The configs `redfat selftest` hardens every workload with: the one
+/// `redfat harden` ships, and the most aggressive elimination tier, so
+/// the interprocedural summaries are exercised differentially too.
+fn selftest_configs() -> [(&'static str, HardenConfig); 2] {
+    [
+        ("default", HardenConfig::default()),
+        ("interproc", HardenConfig::with_interproc(LowFatPolicy::All)),
+    ]
+}
+
+/// What a `redfat selftest` run audits, and on which inputs.
+#[derive(Debug, Clone, Copy)]
+struct SelftestMode {
+    /// Train inputs, a smaller step budget and smaller campaigns.
+    quick: bool,
+    /// Also audit the translated tiers against the step interpreter.
+    fast: bool,
+    /// The heap backend of every audited run.
+    policy: AllocPolicyKind,
+}
+
+impl SelftestMode {
+    fn max_steps(self) -> u64 {
+        if self.quick {
+            50_000_000
+        } else {
+            600_000_000
+        }
+    }
+}
+
+/// A workload the self-test audits, with the inputs it runs on.
+struct Target {
+    name: String,
+    workload: Workload,
+    inputs: Vec<Vec<i64>>,
+    /// A SPEC stand-in: reported line by line and, under `--fast`,
+    /// audited on every tier. Juliet cases are summed into one line.
+    standin: bool,
+}
+
+/// One target's share of the self-test report.
+#[derive(Default)]
+struct TargetAudit {
+    text: String,
+    failures: Vec<String>,
+    runs: usize,
+    divergent: usize,
+    reports: usize,
+}
+
 /// The `selftest` subcommand: the differential self-test subsystem.
 ///
 /// Runs the deterministic encoder/decoder round-trip fuzzer, the
-/// allocator invariant checker, and the lockstep divergence oracle over
-/// every SPEC stand-in plus a Juliet sample. With `fast`, every
-/// stand-in additionally runs the trace-linked tier and the fast tier
-/// (the default backend, under its boundary-audit oracle) against the
-/// single-step reference interpreter
-/// ([`redfat_core::selftest::backend_lockstep`]) on the baseline, the
-/// hardened and the profiling image. Any failure shrinks to a minimal
-/// repro and fails the invocation with a nonzero exit code, so CI can
-/// gate on `redfat selftest --quick --fast`.
-fn run_selftest(
-    quick: bool,
-    fast: bool,
-    policy: AllocPolicyKind,
-    threads: usize,
-    out: &mut String,
-) -> Result<(), CliError> {
-    use redfat_core::selftest::{
-        allocator_invariants, backend_lockstep, lockstep_images, roundtrip_fuzz, shrink_input,
-    };
+/// allocator invariant checker, and the lockstep divergence oracle
+/// ([`redfat_core::selftest::audit_lockstep`]) over every SPEC stand-in
+/// plus a Juliet sample, each hardened under every config of
+/// [`selftest_configs`]. With `fast`, every stand-in additionally runs
+/// the trace-linked tier and the fast tier (the default backend, under
+/// its boundary-audit oracle) against the single-step reference
+/// interpreter ([`redfat_core::selftest::backend_lockstep`]) on the
+/// baseline, the profiling and every hardened image. Any failure fails
+/// the invocation with a nonzero exit code, so CI can gate on
+/// `redfat selftest --quick --fast`.
+fn run_selftest(mode: SelftestMode, threads: usize, out: &mut String) -> Result<(), CliError> {
+    use redfat_core::selftest::{allocator_invariants, roundtrip_fuzz};
     let mut failures: Vec<String> = Vec::new();
-    writeln!(out, "alloc-policy: {policy}").ok();
+    writeln!(out, "alloc-policy: {}", mode.policy).ok();
 
     // Instruction round-trip: decode(encode(i)) == i, byte-identical.
-    let rt_cases = if quick { 2_000 } else { 10_000 };
+    let rt_cases = if mode.quick { 2_000 } else { 50_000 };
     let rt = roundtrip_fuzz(rt_cases, 0xDEC0_DE00_0BAD_CAFE);
     writeln!(
         out,
@@ -732,7 +780,7 @@ fn run_selftest(
     }
 
     // Allocator metadata invariants (redzones, canaries, size classes).
-    let alloc_cases = if quick { 300 } else { 1_000 };
+    let alloc_cases = if mode.quick { 300 } else { 5_000 };
     let ar = allocator_invariants(alloc_cases, 0xA110_C000_5EED_0001);
     writeln!(
         out,
@@ -745,152 +793,35 @@ fn run_selftest(
         failures.push(format!("allocator: {f}"));
     }
 
-    // Lockstep oracle over the SPEC stand-ins.
-    let max_steps: u64 = if quick { 50_000_000 } else { 400_000_000 };
-    // Run the oracle against the most aggressive elimination tier so the
-    // interprocedural summaries are exercised differentially, not just by
-    // unit tests.
-    let config = HardenConfig::with_interproc(LowFatPolicy::All);
-    for w in redfat_workloads::spec::all() {
-        let image = w.image();
-        let input = if quick {
-            w.train_input.clone()
-        } else {
-            w.ref_input.clone()
-        };
-        let hardened = harden_threaded(&image, &config, threads)
-            .map_err(|e| err(format!("selftest: hardening {} failed: {e}", w.name)))?;
-        if fast {
-            // Audit the translated backends: the trace-linked tier
-            // (chaining + inline caches + dead-flag elision; what the
-            // fast tier runs under an observing runtime) and the fast
-            // tier. The profiling image runs on the train input, as
-            // `genlist` runs it, so the allow-list's per-site counts
-            // are audited too.
-            let prof = instrument_profile(&image)
-                .map_err(|e| err(format!("selftest: profiling {} failed: {e}", w.name)))?;
-            for backend in [ExecBackend::Trace, ExecBackend::Fast] {
-                for (kind, img, input) in [
-                    ("baseline", &image, &input),
-                    ("hardened", &hardened.image, &input),
-                    ("profile", &prof.image, &w.train_input),
-                ] {
-                    let rep = backend_lockstep(img, input, backend, max_steps, policy);
-                    writeln!(
-                        out,
-                        "backend  {:<14} {:<10} {kind:<8} {:>9} blocks, {} divergences{}",
-                        w.name,
-                        backend.to_string(),
-                        rep.blocks,
-                        rep.divergences.len(),
-                        if rep.completed { "" } else { " (incomplete)" }
-                    )
-                    .ok();
-                    if !rep.clean() || !rep.completed {
-                        let detail = rep
-                            .divergences
-                            .first()
-                            .map(|d| d.detail.clone())
-                            .unwrap_or_else(|| {
-                                "run did not complete within the step budget".into()
-                            });
-                        failures.push(format!("backend {} {backend} ({kind}):\n{detail}", w.name));
-                    }
-                }
-            }
-        }
-        let rep = lockstep_images(
-            &image,
-            &hardened.image,
-            &hardened.clobbers,
-            &input,
-            max_steps,
-            policy,
-        );
-        writeln!(
-            out,
-            "lockstep {:<14} {:>9} synced, {} divergences, {} check reports{}",
-            w.name,
-            rep.synced,
-            rep.divergences.len(),
-            rep.hardened_errors,
-            if rep.completed { "" } else { " (incomplete)" }
-        )
-        .ok();
-        if !rep.clean() || !rep.completed {
-            let shrunk = shrink_input(
-                &image,
-                &hardened.image,
-                &hardened.clobbers,
-                &input,
-                max_steps,
-                policy,
-            );
-            let rep2 = lockstep_images(
-                &image,
-                &hardened.image,
-                &hardened.clobbers,
-                &shrunk,
-                max_steps,
-                policy,
-            );
-            let detail = rep2
-                .divergences
-                .first()
-                .or(rep.divergences.first())
-                .map(|d| d.detail.clone())
-                .unwrap_or_else(|| "run did not complete within the step budget".into());
-            failures.push(format!(
-                "lockstep {} (input {:?}):\n{}",
-                w.name, shrunk, detail
-            ));
-        }
-    }
-
-    // Juliet sample: benign and attack inputs both stay in lockstep (the
-    // hardened run reports the planted errors but, in Log mode, continues
-    // identically).
-    let stride = if quick { 96 } else { 48 };
-    let cases = redfat_workloads::juliet::generate();
-    let mut jl_runs = 0usize;
-    let mut jl_divergent = 0usize;
-    let mut jl_reports = 0usize;
-    for case in cases.iter().step_by(stride) {
-        let image = case.workload.image();
-        let hardened = harden_threaded(&image, &config, threads).map_err(|e| {
-            err(format!(
-                "selftest: hardening juliet {} failed: {e}",
-                case.id
-            ))
-        })?;
-        for input in [&case.benign_input, &case.attack_input] {
-            let rep = lockstep_images(
-                &image,
-                &hardened.image,
-                &hardened.clobbers,
-                input,
-                max_steps,
-                policy,
-            );
-            jl_runs += 1;
-            jl_reports += rep.hardened_errors;
-            if !rep.clean() || !rep.completed {
-                jl_divergent += 1;
-                let detail = rep
-                    .divergences
-                    .first()
-                    .map(|d| d.detail.clone())
-                    .unwrap_or_else(|| "run did not complete within the step budget".into());
-                failures.push(format!("juliet {} (input {input:?}):\n{detail}", case.id));
-            }
-        }
-    }
-    writeln!(
-        out,
-        "juliet: {jl_runs} runs ({} cases), {jl_divergent} divergent, {jl_reports} check reports",
-        cases.iter().step_by(stride).count()
-    )
-    .ok();
+    // The SPEC stand-ins, then a Juliet sample: benign and attack inputs
+    // both stay in lockstep (the hardened run reports the planted errors
+    // but, in Log mode, continues identically).
+    let mut targets: Vec<Target> = redfat_workloads::spec::all()
+        .into_iter()
+        .map(|w| Target {
+            name: w.name.to_string(),
+            inputs: vec![if mode.quick {
+                w.train_input.clone()
+            } else {
+                w.ref_input.clone()
+            }],
+            standin: true,
+            workload: w,
+        })
+        .collect();
+    let stride = if mode.quick { 96 } else { 48 };
+    targets.extend(
+        redfat_workloads::juliet::generate()
+            .into_iter()
+            .step_by(stride)
+            .map(|case| Target {
+                name: format!("juliet {}", case.id),
+                inputs: vec![case.benign_input, case.attack_input],
+                standin: false,
+                workload: case.workload,
+            }),
+    );
+    failures.extend(audit_targets(targets, mode, threads, out));
 
     if failures.is_empty() {
         writeln!(out, "selftest passed").ok();
@@ -901,6 +832,141 @@ fn run_selftest(
             code: 1,
         })
     }
+}
+
+/// Audits `targets` over `threads` workers and appends their report to
+/// `out` in target order, so the text is the same at any thread count.
+/// Returns the failures; a target that panics is one, and the others
+/// still run.
+fn audit_targets(
+    targets: Vec<Target>,
+    mode: SelftestMode,
+    threads: usize,
+    out: &mut String,
+) -> Vec<String> {
+    let configs = selftest_configs().map(|(label, _)| label);
+    writeln!(out, "configs: {}", configs.join(", ")).ok();
+    let labels: Vec<(String, bool)> = targets
+        .iter()
+        .map(|t| (t.name.clone(), t.standin))
+        .collect();
+    let audits = redfat_parallel::try_parallel_map(targets, threads, |t| audit_target(t, mode));
+    let mut failures = Vec::new();
+    let mut juliet = TargetAudit::default();
+    let mut cases = 0;
+    for ((name, standin), audit) in labels.into_iter().zip(audits) {
+        match audit {
+            Ok(a) => {
+                out.push_str(&a.text);
+                failures.extend(a.failures);
+                if !standin {
+                    cases += 1;
+                    juliet.runs += a.runs;
+                    juliet.divergent += a.divergent;
+                    juliet.reports += a.reports;
+                }
+            }
+            Err(panic) => failures.push(format!("{name}: {panic}")),
+        }
+    }
+    writeln!(
+        out,
+        "juliet: {} runs ({cases} cases), {} divergent, {} check reports",
+        juliet.runs, juliet.divergent, juliet.reports
+    )
+    .ok();
+    failures
+}
+
+/// Hardens one target under every self-test config and audits it: the
+/// lockstep oracle on each of its inputs and, for a stand-in under
+/// `--fast`, the backend oracle on each of its images. Hardens serially;
+/// the parallelism is across targets.
+fn audit_target(t: &Target, mode: SelftestMode) -> TargetAudit {
+    use redfat_core::selftest::{audit_lockstep, backend_lockstep};
+    let mut a = TargetAudit::default();
+    let image = t.workload.image();
+    let mut hardened = Vec::new();
+    for (label, config) in selftest_configs() {
+        match harden(&image, &config) {
+            Ok(h) => hardened.push((label, h)),
+            Err(e) => a
+                .failures
+                .push(format!("{}: hardening ({label}) failed: {e}", t.name)),
+        }
+    }
+
+    if mode.fast && t.standin {
+        // The profiling image runs on the train input, as `genlist` runs
+        // it, so the allow-list's per-site counts are audited too.
+        let prof = instrument_profile(&image);
+        if let Err(e) = &prof {
+            a.failures
+                .push(format!("{}: profiling failed: {e}", t.name));
+        }
+        let input = &t.inputs[0];
+        let mut images = vec![("baseline".to_string(), &image, input)];
+        if let Ok(prof) = &prof {
+            images.push(("profile".to_string(), &prof.image, &t.workload.train_input));
+        }
+        for (label, h) in &hardened {
+            images.push((format!("hardened/{label}"), &h.image, input));
+        }
+        for backend in [ExecBackend::Trace, ExecBackend::Fast] {
+            for (kind, img, input) in &images {
+                let rep = backend_lockstep(img, input, backend, mode.max_steps(), mode.policy);
+                writeln!(
+                    a.text,
+                    "backend  {:<14} {:<10} {kind:<18} {:>9} blocks, {} divergences{}",
+                    t.name,
+                    backend.to_string(),
+                    rep.blocks,
+                    rep.divergences.len(),
+                    if rep.completed { "" } else { " (incomplete)" }
+                )
+                .ok();
+                if !rep.clean() || !rep.completed {
+                    let detail = rep
+                        .divergences
+                        .first()
+                        .map(|d| d.detail.clone())
+                        .unwrap_or_else(|| "run did not complete within the step budget".into());
+                    a.failures
+                        .push(format!("backend {} {backend} ({kind}):\n{detail}", t.name));
+                }
+            }
+        }
+    }
+
+    for (label, h) in &hardened {
+        for input in &t.inputs {
+            let name = format!("{} [{label}]", t.name);
+            let audit = audit_lockstep(&name, &image, h, input, mode.max_steps(), mode.policy);
+            let rep = match &audit {
+                Ok(rep) => rep,
+                Err(repro) => &repro.report,
+            };
+            a.runs += 1;
+            a.reports += rep.hardened_errors;
+            if t.standin {
+                writeln!(
+                    a.text,
+                    "lockstep {:<14} {label:<10} {:>9} synced, {} divergences, {} check reports{}",
+                    t.name,
+                    rep.synced,
+                    rep.divergences.len(),
+                    rep.hardened_errors,
+                    if rep.completed { "" } else { " (incomplete)" }
+                )
+                .ok();
+            }
+            if let Err(repro) = audit {
+                a.divergent += 1;
+                a.failures.push(repro.to_string());
+            }
+        }
+    }
+    a
 }
 
 /// Renders a memory error with the enclosing function name when the
@@ -918,5 +984,91 @@ pub fn symbolize(image: &Image, e: &redfat_emu::MemoryError) -> String {
     match best {
         Some((name, v)) => format!("{e} in {name}+{:#x}", e.site - v),
         None => e.to_string(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const SUM: &str = "fn main() {
+        var n = input();
+        var a = malloc(8 * 8);
+        for (var i = 0; i < 8; i = i + 1) { a[i] = i * n; }
+        var s = 0;
+        for (var i = 0; i < 8; i = i + 1) { s = s + a[i]; }
+        print(s);
+        free(a);
+        return 0;
+    }";
+
+    fn standin(name: &'static str, source: &str, input: Vec<i64>) -> Target {
+        Target {
+            name: name.to_string(),
+            workload: Workload {
+                name,
+                lang: redfat_workloads::Lang::C,
+                source: source.to_string(),
+                train_input: input.clone(),
+                ref_input: input.clone(),
+                requires_x87: false,
+                planted_errors: 0,
+                anti_idiom_sites: 0,
+            },
+            inputs: vec![input],
+            standin: true,
+        }
+    }
+
+    fn targets() -> Vec<Target> {
+        let case = redfat_workloads::juliet::generate().swap_remove(0);
+        vec![
+            standin("sum-a", SUM, vec![3]),
+            standin("sum-b", SUM, vec![-7]),
+            Target {
+                name: format!("juliet {}", case.id),
+                inputs: vec![case.benign_input, case.attack_input],
+                standin: false,
+                workload: case.workload,
+            },
+            standin("sum-c", SUM, vec![11]),
+        ]
+    }
+
+    const MODE: SelftestMode = SelftestMode {
+        quick: true,
+        fast: true,
+        policy: AllocPolicyKind::LowFat,
+    };
+
+    #[test]
+    fn report_is_identical_at_any_thread_count() {
+        let mut serial = String::new();
+        let failures = audit_targets(targets(), MODE, 1, &mut serial);
+        assert!(failures.is_empty(), "{failures:#?}");
+        let mut threaded = String::new();
+        assert!(audit_targets(targets(), MODE, 3, &mut threaded).is_empty());
+        assert_eq!(serial, threaded);
+        // Both configs audit every stand-in, on the lockstep oracle and
+        // on both translated tiers.
+        for config in ["default", "interproc"] {
+            assert!(serial.contains(&format!("lockstep sum-c          {config}")));
+            assert!(serial.contains(&format!("hardened/{config}")));
+        }
+        assert!(serial.contains("juliet: 4 runs (1 cases)"), "{serial}");
+    }
+
+    #[test]
+    fn a_panicking_workload_fails_alone() {
+        let mut list = targets();
+        list.insert(1, standin("broken", "fn main( {", vec![]));
+        let mut out = String::new();
+        let failures = audit_targets(list, MODE, 2, &mut out);
+        assert_eq!(failures.len(), 1, "{failures:#?}");
+        assert!(failures[0].starts_with("broken: "), "{}", failures[0]);
+        assert!(failures[0].contains("panicked"), "{}", failures[0]);
+        for name in ["sum-a", "sum-b", "sum-c"] {
+            assert!(out.contains(&format!("lockstep {name}")), "{out}");
+        }
     }
 }

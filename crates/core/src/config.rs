@@ -2,7 +2,6 @@
 
 use crate::allowlist::AllowList;
 use crate::digest::{sha256, Digest};
-use redfat_lowfat::AllocPolicyKind;
 
 /// Which memory operations receive the full (Redzone)+(LowFat) check, as
 /// opposed to the (Redzone)-only fallback (paper §3, "opportunistic
@@ -58,11 +57,6 @@ pub struct HardenConfig {
     /// metadata -- instead of the combined Figure 4 check. Used by the
     /// complementarity experiment; never set in production.
     pub lowfat_only: bool,
-    /// Which allocator policy backs the runtime heap (`--alloc-policy`).
-    /// Does not change the emitted checks (the policy contract keeps
-    /// them backend-independent) but *is* part of the artifact identity:
-    /// run/analyze results depend on it, so cache keys must too.
-    pub alloc_policy: AllocPolicyKind,
 }
 
 impl HardenConfig {
@@ -80,7 +74,6 @@ impl HardenConfig {
             instrument_reads: true,
             lowfat,
             lowfat_only: false,
-            alloc_policy: AllocPolicyKind::default(),
         }
     }
 
@@ -165,9 +158,8 @@ impl HardenConfig {
     }
 
     /// The canonical byte encoding of this configuration: a versioned
-    /// tag, the nine boolean knobs, the LowFat policy (with the
-    /// allow-list sites in sorted order), and the allocator-policy
-    /// byte. Two configs encode to the same bytes iff they are `==`,
+    /// tag, the nine boolean knobs, and the LowFat policy (with the
+    /// allow-list sites in sorted order). Two configs encode to the same bytes iff they are `==`,
     /// which makes [`Self::digest`] a sound cache-key component and the
     /// encoding itself a usable wire format for the service protocol.
     pub fn canonical_bytes(&self) -> Vec<u8> {
@@ -197,7 +189,6 @@ impl HardenConfig {
                 }
             }
         }
-        out.push(self.alloc_policy.wire_byte());
         out
     }
 
@@ -250,16 +241,12 @@ impl HardenConfig {
             }
             other => return Err(format!("config encoding: unknown policy byte {other}")),
         };
-        let [alloc_byte] = rest else {
+        if !rest.is_empty() {
             return Err(format!(
-                "config encoding: expected one allocator-policy byte after the LowFat \
-                 policy, found {} bytes",
+                "config encoding: {} trailing bytes after the LowFat policy",
                 rest.len()
             ));
-        };
-        let alloc_policy = AllocPolicyKind::from_wire_byte(*alloc_byte).ok_or_else(|| {
-            format!("config encoding: unknown allocator-policy byte {alloc_byte}")
-        })?;
+        }
         Ok(HardenConfig {
             elim: flags[0] == 1,
             batch: flags[1] == 1,
@@ -271,7 +258,6 @@ impl HardenConfig {
             instrument_reads: flags[7] == 1,
             lowfat,
             lowfat_only: flags[8] == 1,
-            alloc_policy,
         })
     }
 
@@ -285,7 +271,7 @@ impl HardenConfig {
 /// Version tag of the canonical config encoding. Bump when the
 /// encoding changes shape; old cache keys then miss instead of
 /// colliding with entries produced under different semantics.
-const CONFIG_TAG: &[u8] = b"redfat-config/v2\n";
+const CONFIG_TAG: &[u8] = b"redfat-config/v3\n";
 
 impl Default for HardenConfig {
     /// Fully optimized with full LowFat coverage (callers wanting the
@@ -340,10 +326,6 @@ mod tests {
             HardenConfig::minus_size(LowFatPolicy::All),
             HardenConfig::minus_reads(allow),
             HardenConfig::lowfat_only(),
-            HardenConfig {
-                alloc_policy: AllocPolicyKind::RandLowFat,
-                ..HardenConfig::default()
-            },
         ];
         for c in &configs {
             let bytes = c.canonical_bytes();
@@ -388,30 +370,5 @@ mod tests {
             HardenConfig::with_merge(LowFatPolicy::AllowList(AllowList::from_sites([1, 2, 3])))
                 .canonical_bytes();
         assert!(HardenConfig::from_canonical_bytes(&listed[..listed.len() - 4]).is_err());
-        // Unknown allocator-policy byte is rejected.
-        let mut bad_alloc = HardenConfig::default().canonical_bytes();
-        *bad_alloc.last_mut().unwrap() = 9;
-        assert!(HardenConfig::from_canonical_bytes(&bad_alloc).is_err());
-    }
-
-    /// Cache keys must distinguish the allocator backends: same knobs,
-    /// different policy, different digest (and a different encoding).
-    #[test]
-    fn alloc_policy_is_part_of_the_cache_key() {
-        let lowfat = HardenConfig::default();
-        let rand = HardenConfig {
-            alloc_policy: AllocPolicyKind::RandLowFat,
-            ..HardenConfig::default()
-        };
-        assert_ne!(lowfat.canonical_bytes(), rand.canonical_bytes());
-        assert_ne!(lowfat.digest(), rand.digest());
-        for kind in AllocPolicyKind::ALL {
-            let c = HardenConfig {
-                alloc_policy: kind,
-                ..HardenConfig::default()
-            };
-            let back = HardenConfig::from_canonical_bytes(&c.canonical_bytes()).unwrap();
-            assert_eq!(back.alloc_policy, kind);
-        }
     }
 }

@@ -68,13 +68,6 @@ pub enum FaultOutcome {
     Degraded,
 }
 
-impl FaultOutcome {
-    /// `true` for the `Error` classification.
-    pub fn is_error(&self) -> bool {
-        matches!(self, FaultOutcome::Error(_))
-    }
-}
-
 /// Aggregated sweep results.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultReport {

@@ -185,7 +185,6 @@ pub fn instrument_profile(image: &Image) -> Result<Hardened, HardenError> {
         instrument_reads: true,
         lowfat: LowFatPolicy::All,
         lowfat_only: false,
-        alloc_policy: redfat_lowfat::AllocPolicyKind::default(),
     };
     instrument(image, &config, PayloadMode::Profile, bases, 1)
 }
@@ -365,6 +364,23 @@ fn component_key(
     h.finalize()
 }
 
+/// Below this many instructions in recovered blocks a harden runs its
+/// shards on the calling thread, whatever `threads` asks for: a helper
+/// spawn then costs about what the second worker saves. DESIGN.md §9
+/// records the crossover measurement behind the value.
+const PARALLEL_MIN_INSTS: usize = 4096;
+
+/// The worker count for sharding `cfg`'s components: `threads` once the
+/// image is large enough to amortize a spawn, else one.
+fn shard_workers(cfg: &Cfg, threads: usize) -> usize {
+    let insts: usize = cfg.blocks.values().map(|b| b.insts.len()).sum();
+    if insts < PARALLEL_MIN_INSTS {
+        1
+    } else {
+        threads
+    }
+}
+
 fn instrument(
     image: &Image,
     config: &HardenConfig,
@@ -408,7 +424,8 @@ fn instrument_with_cache(
     // a hit substitutes the cached plan for recomputation (same plan by
     // the key's soundness argument), a miss computes and publishes.
     let prefix = cache.map(|_| cache_prefix(image, config, mode));
-    let shards: Vec<(Arc<ComponentPlan>, bool)> = parallel_map(cfg.components(), threads, |sub| {
+    let workers = shard_workers(&cfg, threads);
+    let shards: Vec<(Arc<ComponentPlan>, bool)> = parallel_map(cfg.components(), workers, |sub| {
         let key = prefix.as_ref().map(|p| {
             component_key(
                 p,
@@ -654,5 +671,42 @@ fn instrument_shard(
         planned,
         clobbers,
         stats,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn workers(image: &Image, threads: usize) -> usize {
+        let disasm = disassemble(image);
+        shard_workers(&Cfg::recover(&disasm, image.entry, &[]), threads)
+    }
+
+    #[test]
+    fn small_images_harden_on_the_calling_thread() {
+        for w in redfat_workloads::spec::all() {
+            assert_eq!(workers(&w.image(), 8), 1, "{} would spawn", w.name);
+        }
+        let kromium = redfat_workloads::kromium::build().image();
+        assert_eq!(workers(&kromium, 8), 8);
+        assert_eq!(workers(&kromium, 1), 1);
+    }
+
+    /// The stand-ins are below the threshold and harden serially at
+    /// every thread count, so the threaded merge is checked here.
+    #[test]
+    fn threaded_harden_above_the_threshold_is_identical() {
+        let source = redfat_workloads::kromium::source(24);
+        let image = redfat_minic::compile(&source).unwrap();
+        let config = HardenConfig::default();
+        let serial = harden_threaded(&image, &config, 1).unwrap();
+        for threads in [2usize, 8] {
+            assert_eq!(workers(&image, threads), threads);
+            let parallel = harden_threaded(&image, &config, threads).unwrap();
+            assert_eq!(serial.image.to_bytes(), parallel.image.to_bytes());
+            assert_eq!(serial.stats, parallel.stats);
+            assert_eq!(serial.clobbers, parallel.clobbers);
+        }
     }
 }

@@ -32,10 +32,11 @@
 //!    profile at the end. The translation cache is a pure performance
 //!    optimization, so any difference at all is a bug.
 //!
-//! When the lockstep oracle diverges, [`shrink_input`] applies ddmin-style
-//! [`minimize`]-ation to the program input so the repro is as small as the
-//! predicate allows; divergence details embed a disassembly window of the
-//! instructions leading up to the failure.
+//! [`audit_lockstep`] is the one entry point drivers call for the
+//! lockstep oracle: when the images diverge it applies ddmin-style
+//! [`minimize`]-ation to the program input, so the repro it returns is as
+//! small as the predicate allows; divergence details embed a disassembly
+//! window of the instructions leading up to the failure.
 //!
 //! Known blind spots (documented in DESIGN.md): reads below `rsp` after a
 //! payload ran (the payload may push temporaries there), programs that
@@ -50,7 +51,7 @@
 // calls into this module.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::pipeline::ClobberInfo;
+use crate::pipeline::{ClobberInfo, Hardened};
 use redfat_elf::Image;
 use redfat_emu::{syscalls, Emu, EmuError, ErrorMode, ExecBackend, HostRuntime, RunResult};
 use redfat_lowfat::{
@@ -1238,16 +1239,35 @@ impl LockstepReport {
     }
 }
 
-fn record(report: &mut LockstepReport, window: &VecDeque<String>, rip: u64, msg: String) {
+/// The last [`Window::LEN`] baseline instructions before a sync, kept as
+/// addresses and disassembled only when a divergence is recorded.
+struct Window<'a> {
+    disasm: &'a redfat_analysis::Disasm,
+    rips: VecDeque<u64>,
+}
+
+impl Window<'_> {
+    const LEN: usize = 32;
+
+    fn push(&mut self, rip: u64) {
+        if self.rips.len() == Self::LEN {
+            self.rips.pop_front();
+        }
+        self.rips.push_back(rip);
+    }
+}
+
+fn record(report: &mut LockstepReport, window: &Window, rip: u64, msg: String) {
     if report.divergences.len() >= MAX_FAILURES {
         return;
     }
     let mut detail = msg;
-    if !window.is_empty() {
+    if !window.rips.is_empty() {
         detail.push_str("\n  instructions leading here:");
-        for line in window {
-            detail.push_str("\n    ");
-            detail.push_str(line);
+        for &at in &window.rips {
+            if let Some((inst, _)) = window.disasm.at(at) {
+                detail.push_str(&format!("\n    {at:#x}: {inst}"));
+            }
         }
     }
     report.divergences.push(Divergence { rip, detail });
@@ -1269,7 +1289,7 @@ fn exit_equiv(b: &RunResult, h: &RunResult) -> bool {
 /// diverges from the baseline under the allocator `policy` (ddmin over
 /// input elements; a divergence seen under one policy need not
 /// reproduce under another).
-pub fn shrink_input(
+fn shrink_input(
     baseline: &Image,
     hardened: &Image,
     clobbers: &HashMap<u64, ClobberInfo>,
@@ -1280,6 +1300,73 @@ pub fn shrink_input(
     minimize(input, |cand| {
         !lockstep_images(baseline, hardened, clobbers, cand, max_steps, policy).clean()
     })
+}
+
+/// A hardened image that is not equivalent to its baseline, reduced to a
+/// ready-made repro by [`audit_lockstep`].
+#[derive(Debug)]
+pub struct Repro {
+    /// The workload the audit ran on.
+    pub workload: String,
+    /// The smallest input on which the images still diverge (the
+    /// original input when the run merely did not complete).
+    pub input: Vec<i64>,
+    /// The first divergence on that input, with its disassembly window,
+    /// or why the run did not complete.
+    pub divergence: String,
+    /// The lockstep run on the original input.
+    pub report: LockstepReport,
+}
+
+impl std::fmt::Display for Repro {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "lockstep {} (input {:?}):\n{}",
+            self.workload, self.input, self.divergence
+        )
+    }
+}
+
+/// Audits `hardened` against `baseline` on `input` with the lockstep
+/// oracle ([`lockstep_images`]) under the allocator `policy`.
+///
+/// A run that completes without divergence is the clean verdict: its
+/// report. Otherwise the input is shrunk ([`minimize`]) against the
+/// divergence predicate and the oracle re-run on the shrunk input, and
+/// the verdict is a [`Repro`] naming `workload`, carrying that input and
+/// its first divergence. A run that stays clean but exhausts `max_steps`
+/// is a repro on its original input.
+pub fn audit_lockstep(
+    workload: &str,
+    baseline: &Image,
+    hardened: &Hardened,
+    input: &[i64],
+    max_steps: u64,
+    policy: AllocPolicyKind,
+) -> Result<LockstepReport, Box<Repro>> {
+    let (image, clobbers) = (&hardened.image, &hardened.clobbers);
+    let report = lockstep_images(baseline, image, clobbers, input, max_steps, policy);
+    if report.clean() && report.completed {
+        return Ok(report);
+    }
+    let (input, divergence) = if report.clean() {
+        (input.to_vec(), None)
+    } else {
+        let shrunk = shrink_input(baseline, image, clobbers, input, max_steps, policy);
+        let rerun = lockstep_images(baseline, image, clobbers, &shrunk, max_steps, policy);
+        (shrunk, rerun.divergences.into_iter().next())
+    };
+    let divergence = divergence
+        .or_else(|| report.divergences.first().cloned())
+        .map(|d| d.detail)
+        .unwrap_or_else(|| "run did not complete within the step budget".into());
+    Err(Box::new(Repro {
+        workload: workload.to_string(),
+        input,
+        divergence,
+        report,
+    }))
 }
 
 /// Runs `baseline` and `hardened` in lockstep, comparing architectural
@@ -1326,7 +1413,10 @@ pub fn lockstep_images(
     let mut flags_dirty = false;
     // Data stores performed since the last sync, compared at the next one.
     let mut pending: Vec<(u64, usize)> = Vec::new();
-    let mut window: VecDeque<String> = VecDeque::new();
+    let mut window = Window {
+        disasm: &disasm,
+        rips: VecDeque::new(),
+    };
     let mut budget = max_steps;
 
     let mut base_done: Option<RunResult> = None;
@@ -1455,10 +1545,7 @@ pub fn lockstep_images(
                 );
                 break 'outer;
             };
-            window.push_back(format!("{rip:#x}: {inst}"));
-            if window.len() > 32 {
-                window.pop_front();
-            }
+            window.push(rip);
 
             // Liveness soundness: nothing may read a clobbered register or
             // flag before it is rewritten.
@@ -1782,15 +1869,14 @@ mod tests {
         assert_eq!(rep.hardened_exit, Some(RunResult::Exited(5)));
     }
 
+    /// The planted divergence is input-independent, so the audit must
+    /// shrink the input vector to nothing.
     #[test]
-    fn input_shrinking_reaches_a_fixpoint() {
-        // The injected divergence is input-independent, so the shrinker
-        // must reduce the input vector to nothing.
+    fn planted_clobber_audits_to_a_shrunk_repro() {
         let (image, anchor) = program(|a| {
             a.mov_ri(Width::W64, Reg::Rbx, 7);
             let anchor = a.here();
             a.mov_rr(Width::W64, Reg::Rdi, Reg::Rbx);
-            a.alu_ri(AluOp::Add, Width::W64, Reg::Rdi, 1);
             let l = a.label();
             a.jmp_label(l);
             a.bind(l).unwrap();
@@ -1801,15 +1887,28 @@ mod tests {
         let disasm = redfat_analysis::disassemble(&image);
         let cfg = Cfg::recover(&disasm, image.entry, &[]);
         let out = rewrite(&image, &disasm, &cfg, clobber_rbx_patch(anchor)).unwrap();
-        let shrunk = shrink_input(
-            &image,
-            &out.image,
-            &HashMap::new(),
-            &[1, 2, 3],
-            100_000,
-            AllocPolicyKind::default(),
-        );
-        assert!(shrunk.is_empty(), "{shrunk:?}");
+        let hardened = Hardened {
+            image: out.image,
+            stats: crate::HardenStats::default(),
+            clobbers: HashMap::new(),
+        };
+        let policy = AllocPolicyKind::default();
+        let repro = audit_lockstep("planted", &image, &hardened, &[4, 5, 6], 100_000, policy)
+            .expect_err("an undeclared live clobber must not audit clean");
+        assert_eq!(repro.workload, "planted");
+        assert!(repro.input.is_empty(), "not shrunk: {:?}", repro.input);
+        assert!(repro.divergence.contains("Rbx"), "{}", repro.divergence);
+        assert!(!repro.report.clean());
+        assert!(repro.to_string().starts_with("lockstep planted (input [])"));
+
+        // An image audited against itself is the clean verdict.
+        let unpatched = Hardened {
+            image: image.clone(),
+            ..hardened
+        };
+        let report = audit_lockstep("planted", &image, &unpatched, &[4], 100_000, policy)
+            .expect("an unpatched image is equivalent to itself");
+        assert!(report.completed && report.clean());
     }
 
     #[test]
@@ -1947,7 +2046,7 @@ mod tests {
                 &hardened.clobbers,
                 &[3],
                 5_000_000,
-                config.alloc_policy,
+                AllocPolicyKind::default(),
             );
             assert!(rep.completed, "run did not complete: {rep:#?}");
             assert!(rep.clean(), "{:#?}", rep.divergences);

@@ -65,21 +65,6 @@ impl AllocPolicyKind {
     pub fn parse(s: &str) -> Option<AllocPolicyKind> {
         AllocPolicyKind::ALL.into_iter().find(|k| k.as_str() == s)
     }
-
-    /// Stable one-byte wire encoding (config canonical form v2).
-    pub fn wire_byte(self) -> u8 {
-        match self {
-            AllocPolicyKind::LowFat => 0,
-            AllocPolicyKind::RandLowFat => 1,
-        }
-    }
-
-    /// Inverse of [`AllocPolicyKind::wire_byte`].
-    pub fn from_wire_byte(b: u8) -> Option<AllocPolicyKind> {
-        AllocPolicyKind::ALL
-            .into_iter()
-            .find(|k| k.wire_byte() == b)
-    }
 }
 
 impl std::fmt::Display for AllocPolicyKind {
@@ -155,17 +140,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kind_roundtrips_through_strings_and_wire_bytes() {
+    fn kind_roundtrips_through_strings() {
         for kind in AllocPolicyKind::ALL {
             assert_eq!(AllocPolicyKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(
-                AllocPolicyKind::from_wire_byte(kind.wire_byte()),
-                Some(kind)
-            );
             assert_eq!(kind.to_string(), kind.as_str());
         }
         assert_eq!(AllocPolicyKind::parse("mesh"), None);
-        assert_eq!(AllocPolicyKind::from_wire_byte(0xFF), None);
     }
 
     #[test]

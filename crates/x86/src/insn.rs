@@ -572,22 +572,6 @@ impl Inst {
         }
     }
 
-    /// Returns `true` for control-transfer instructions (the basic-block
-    /// terminators of CFG recovery).
-    pub fn is_control_flow(&self) -> bool {
-        matches!(
-            self.op,
-            Op::Call
-                | Op::CallInd
-                | Op::Ret
-                | Op::Jmp
-                | Op::JmpInd
-                | Op::Jcc(_)
-                | Op::Ud2
-                | Op::Int3
-        )
-    }
-
     /// Returns the absolute branch target for direct branches.
     pub fn branch_target(&self) -> Option<u64> {
         match (self.op, self.operands) {

@@ -113,15 +113,6 @@ impl Reg {
         NAMES[self.code() as usize]
     }
 
-    /// Returns the 16-bit sub-register name, e.g. `"ax"`.
-    pub fn name16(self) -> &'static str {
-        const NAMES: [&str; 16] = [
-            "ax", "cx", "dx", "bx", "sp", "bp", "si", "di", "r8w", "r9w", "r10w", "r11w", "r12w",
-            "r13w", "r14w", "r15w",
-        ];
-        NAMES[self.code() as usize]
-    }
-
     /// Returns the low-byte sub-register name, e.g. `"al"` / `"sil"`.
     pub fn name8(self) -> &'static str {
         const NAMES: [&str; 16] = [
